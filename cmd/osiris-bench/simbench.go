@@ -61,10 +61,10 @@ type simBenchReport struct {
 // varies and the Check map is taken from the first surviving rep.
 // Workloads whose reps were all filtered out by -run are omitted.
 //
-// Wall-clock and allocation figures are clean at -workers=1 (the
-// measurement discipline the committed BENCH_simcore.json uses);
-// parallel workers co-run repetitions, which inflates both, so parallel
-// simbench is for smoke coverage, not for quotable numbers.
+// The jobs run on one worker whatever -workers says: measure brackets
+// each job with process-wide runtime.MemStats and wall time, so a job
+// running beside it would be charged to it, and the -allocgate reading
+// would depend on the core count.
 func bestResults(workloads []struct {
 	name string
 	fn   func() simBenchResult
@@ -83,7 +83,7 @@ func bestResults(workloads []struct {
 			})
 		}
 	}
-	results := runJobs(selected(jobs))
+	results := runJobsOn(1, selected(jobs))
 	var out []simBenchResult
 	for _, w := range workloads {
 		var best *simBenchResult

@@ -223,6 +223,9 @@ func (ic *IntController) Assert(line int) {
 	}
 	ic.pending[line] = true
 	ic.counts[line]++
+	// One proc per interrupt, reused from the engine's proc pool:
+	// pending is cleared before the handler runs, so two handlers for
+	// one line may overlap, which a single service proc would serialize.
 	ic.host.Eng.Go("irq", func(p *sim.Proc) {
 		ic.host.Compute(p, ic.host.Prof.InterruptCost)
 		ic.pending[line] = false

@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -10,7 +13,6 @@ type procState int
 const (
 	procNew procState = iota
 	procBlocked
-	procRunnable
 	procRunning
 	procDone
 )
@@ -21,19 +23,26 @@ type killedError struct{ name string }
 
 func (k killedError) Error() string { return "sim: proc " + k.name + " killed at shutdown" }
 
-// Proc is a simulated sequential process. Its body runs on a dedicated
-// goroutine, but the engine enforces strict handoff: the body executes
-// only while the engine is blocked waiting for it to yield (by sleeping,
-// waiting on a Cond, or returning), so at most one proc runs at a time
-// and execution order is fully determined by the event queue.
+// Proc is a simulated sequential process. Its body runs on a coroutine
+// (iter.Pull), and the engine enforces strict handoff: the body
+// executes only while the engine has switched to it and resumes when
+// the body yields (by sleeping, waiting on a Cond, or returning), so at
+// most one proc runs at a time and execution order is fully determined
+// by the event queue.
+//
+// Procs are pooled per engine: when a body returns, its coroutine parks
+// on the engine's idle list and a later Go runs the next body on it. A
+// *Proc handle therefore refers to the spawn that returned it only
+// until that body returns.
 type Proc struct {
 	eng      *Engine
 	name     string
-	resumeCh chan struct{}
-	yieldCh  chan struct{}
+	fn       func(p *Proc) // body of the current spawn; nil while idle
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
 	state    procState
-	killed   bool
-	panicVal any // non-nil if the body panicked; re-raised on the engine goroutine
+	panicVal any // non-nil if the body panicked; re-raised by resume
 }
 
 // Go spawns a simulated process whose body is fn. The body starts at the
@@ -41,14 +50,17 @@ type Proc struct {
 // other event). The returned Proc may be passed to blocking primitives
 // only from within fn itself.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:      e,
-		name:     name,
-		resumeCh: make(chan struct{}),
-		yieldCh:  make(chan struct{}),
+	var p *Proc
+	if n := len(e.idle); n > 0 {
+		p = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		p = &Proc{eng: e}
+		p.next, p.stop = iter.Pull(p.serve)
+		e.procs = append(e.procs, p)
 	}
-	e.procs = append(e.procs, p)
-	go p.run(fn)
+	p.name, p.fn, p.state = name, fn, procNew
 	e.AtCall(e.now, resumeProc, p)
 	return p
 }
@@ -59,23 +71,37 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 // wakeup with AtCall(t, resumeProc, p) allocates nothing.
 func resumeProc(a any) { a.(*Proc).resume() }
 
-func (p *Proc) run(fn func(p *Proc)) {
-	<-p.resumeCh // wait for the start event
+// serve is the coroutine: it runs one body per start event and, while
+// bodies return normally, parks on the engine's idle list between them.
+// It returns, ending the coroutine, when a body panics or Shutdown
+// stops it.
+func (p *Proc) serve(yield func(struct{}) bool) {
+	p.yield = yield
+	for p.runBody() {
+		p.eng.idle = append(p.eng.idle, p)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// runBody runs the current body and reports whether it returned
+// normally, leaving the proc fit for reuse. A panic other than the
+// shutdown kill is stashed for resume to re-raise on the engine's
+// goroutine, so the failure surfaces in the Run caller's stack.
+func (p *Proc) runBody() (ok bool) {
 	defer func() {
+		p.fn = nil
+		p.state = procDone
 		if r := recover(); r != nil {
-			if _, ok := r.(killedError); !ok {
-				// Stash the panic; resume() re-raises it on the engine's
-				// goroutine so the failure surfaces in the caller's stack
-				// rather than aborting the process from a detached
-				// goroutine.
+			if _, killed := r.(killedError); !killed {
 				p.panicVal = r
 			}
 		}
-		p.state = procDone
-		p.yieldCh <- struct{}{}
 	}()
 	p.state = procRunning
-	fn(p)
+	p.fn(p)
+	return true
 }
 
 // Name returns the name given to Go.
@@ -87,15 +113,13 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// resume hands control to the proc and waits until it yields or finishes.
-// Called only from engine context (event callbacks).
+// resume switches to the proc and returns when it yields or its body
+// finishes. Called only from engine context (event callbacks).
 func (p *Proc) resume() {
 	if p.state == procDone {
 		return
 	}
-	p.state = procRunning
-	p.resumeCh <- struct{}{}
-	<-p.yieldCh
+	p.next()
 	if p.panicVal != nil {
 		v := p.panicVal
 		p.panicVal = nil
@@ -103,13 +127,12 @@ func (p *Proc) resume() {
 	}
 }
 
-// block yields control back to the engine and waits to be resumed.
-// Called only from proc context.
+// block yields control back to the engine and returns when the proc is
+// resumed. If Shutdown stops the proc instead, block unwinds the body
+// with killedError. Called only from proc context.
 func (p *Proc) block() {
 	p.state = procBlocked
-	p.yieldCh <- struct{}{}
-	<-p.resumeCh
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(killedError{p.name})
 	}
 	p.state = procRunning
@@ -121,7 +144,7 @@ func (p *Proc) block() {
 // at the current instant runs before Sleep returns. When no such event
 // exists (and no Stop is pending), the proc's wakeup would be the very
 // next event executed, so Sleep returns immediately instead of paying
-// the event and goroutine round-trip — the simulated behaviour is
+// the event and the coroutine round-trip — the simulated behaviour is
 // identical either way.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
@@ -153,5 +176,7 @@ func (p *Proc) SleepUntil(t Time) {
 	p.block()
 }
 
-// Done reports whether the proc body has returned.
+// Done reports whether the proc body has returned (or was killed by
+// Shutdown before it could). Once it has, the engine may reuse the Proc
+// for a later Go, after which Done reports on that spawn.
 func (p *Proc) Done() bool { return p.state == procDone }

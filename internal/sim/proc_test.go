@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -160,6 +161,121 @@ func TestShutdownUnblocksSleepingProc(t *testing.T) {
 	e.Shutdown() // must not hang
 	if reached {
 		t.Error("killed proc continued past Wait")
+	}
+}
+
+// TestShutdownNeverStartedProc: a proc whose start event never fired
+// must not run its body at Shutdown, whether it is fresh or a pooled
+// proc handed a new body, and Shutdown must end every coroutine the
+// engine started.
+func TestShutdownNeverStartedProc(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	ran := 0
+	body := func(p *Proc) {
+		ran++
+		p.Sleep(time.Microsecond)
+	}
+	e.Go("fresh", body)
+	e.Shutdown()
+	if ran != 0 {
+		t.Errorf("Shutdown ran %d bodies of never-started procs", ran)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Shutdown, %d before the engine", n, base)
+	}
+
+	e = NewEngine(1)
+	e.Go("first", func(*Proc) {})
+	e.Run()
+	e.Go("reused", body)
+	e.Shutdown()
+	if ran != 0 {
+		t.Errorf("Shutdown ran %d bodies of never-started procs", ran)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Shutdown, %d before the engine", n, base)
+	}
+}
+
+// TestShutdownReleasesIdleProcs: after a run that leaves finished procs
+// pooled, Shutdown ends their coroutines too.
+func TestShutdownReleasesIdleProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	for i := 0; i < 8; i++ {
+		d := time.Duration(i)
+		e.Go("p", func(p *Proc) { p.Sleep(d) })
+	}
+	e.Run()
+	if len(e.idle) != 8 || len(e.procs) != 8 {
+		t.Fatalf("after the run: %d idle of %d procs, want 8 of 8", len(e.idle), len(e.procs))
+	}
+	e.Shutdown()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Shutdown, %d before the engine", n, base)
+	}
+}
+
+// TestPoolReusesFinishedProcs: procs spawned one after another share
+// one coroutine, and a spawn while another proc is live takes a second.
+func TestPoolReusesFinishedProcs(t *testing.T) {
+	e := NewEngine(1)
+	var names []string
+	e.Go("driver", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			e.Go(fmt.Sprintf("irq%d", i), func(c *Proc) {
+				c.Sleep(time.Nanosecond)
+				names = append(names, c.Name())
+			})
+			p.Sleep(2 * time.Nanosecond)
+		}
+	})
+	e.Run()
+	defer e.Shutdown()
+	if want := "[irq0 irq1 irq2 irq3 irq4]"; fmt.Sprint(names) != want {
+		t.Errorf("bodies ran as %v, want %s", names, want)
+	}
+	if len(e.procs) != 2 {
+		t.Errorf("engine holds %d procs, want 2 (the driver and one reused irq proc)", len(e.procs))
+	}
+}
+
+// TestPanickedProcIsNotPooled: a body's panic re-raises on the Run
+// caller, the panicked proc is not reused, the run can continue, and
+// Shutdown afterwards neither hangs nor leaks a goroutine.
+func TestPanickedProcIsNotPooled(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	bad := e.Go("bad", func(p *Proc) {
+		p.Sleep(time.Nanosecond)
+		panic("boom")
+	})
+	e.Go("good", func(p *Proc) { p.Sleep(2 * time.Nanosecond) })
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want boom", r)
+			}
+		}()
+		e.Run()
+	}()
+	if !bad.Done() {
+		t.Error("panicked proc not done")
+	}
+	e.Run()
+	for _, p := range e.idle {
+		if p == bad {
+			t.Error("panicked proc was pooled")
+		}
+	}
+	if again := e.Go("again", func(*Proc) {}); again == bad {
+		t.Error("Go reused the panicked proc")
+	}
+	e.Run()
+	e.Shutdown()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Shutdown, %d before the engine", n, base)
 	}
 }
 

@@ -3,9 +3,12 @@
 // The engine maintains a virtual clock and an event queue ordered by
 // (time, insertion sequence). Sequential activities — the OSIRIS board's
 // on-board processors, host interrupt handlers, driver threads — run as
-// Procs: goroutines that execute in strict handoff with the engine, so
-// exactly one of them is runnable at any instant and every run of a
-// simulation is bit-for-bit reproducible.
+// Procs: coroutines (iter.Pull) that execute in strict handoff with the
+// engine, so exactly one of them is runnable at any instant and every
+// run of a simulation is bit-for-bit reproducible. Procs are pooled per
+// engine: a finished proc's coroutine runs the next spawned body, so a
+// spawn per interrupt starts no goroutine and the engine holds no more
+// coroutines than were ever alive at once.
 //
 // The event queue is allocation-free in steady state: fired and
 // cancelled events return their storage to an engine-owned free list,
@@ -103,7 +106,8 @@ type Engine struct {
 	seq      uint64
 	pq       []*eventNode
 	freeList *eventNode
-	procs    []*Proc
+	procs    []*Proc // every proc coroutine, live or idle
+	idle     []*Proc // finished procs parked for reuse by Go
 	rng      *rand.Rand
 	fired    uint64
 	stopped  bool
@@ -533,20 +537,21 @@ func (e *Engine) Pending() int { return len(e.pq) }
 // events/sec measurements.
 func (e *Engine) Events() uint64 { return e.fired }
 
-// Shutdown terminates all live Procs so their goroutines exit. The engine
-// must not be running. After Shutdown the engine can still schedule plain
-// events but all procs are gone. It is safe to call multiple times.
+// Shutdown stops every proc coroutine, idle ones included. Call it when
+// done with an engine: until then its coroutines stay parked and keep
+// the engine reachable. A blocked proc unwinds with a kill panic that
+// runs its deferred calls; a proc whose start event never fired does not
+// run its body at all. The engine must not be running. After Shutdown
+// the engine can still schedule plain events but all procs are gone. It
+// is safe to call multiple times.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown during Run")
 	}
 	for _, p := range e.procs {
-		if p.state == procDone {
-			continue
-		}
-		p.killed = true
-		p.resumeCh <- struct{}{}
-		<-p.yieldCh
+		p.stop()
+		p.state = procDone
 	}
 	e.procs = nil
+	e.idle = nil
 }
