@@ -138,41 +138,40 @@ func (p *Proc) block() {
 	p.state = procRunning
 }
 
-// Sleep suspends the proc for d of virtual time.
-//
-// A zero-length sleep is a scheduling point: any event already queued
-// at the current instant runs before Sleep returns. When no such event
-// exists (and no Stop is pending), the proc's wakeup would be the very
-// next event executed, so Sleep returns immediately instead of paying
-// the event and the coroutine round-trip — the simulated behaviour is
-// identical either way.
+// Sleep suspends the proc for d of virtual time. It is SleepUntil(now+d).
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: proc %s: negative sleep %v", p.name, d))
 	}
-	if d == 0 {
-		if p.eng.quietNow() {
-			return
-		}
-		p.eng.AtCall(p.eng.now, resumeProc, p)
-		p.block()
-		return
-	}
-	p.eng.AtCall(p.eng.now.Add(d), resumeProc, p)
-	p.block()
+	p.SleepUntil(p.eng.now.Add(d))
 }
 
-// SleepUntil suspends the proc until instant t (a no-op scheduling point
-// if t is not after the current time, with the same fast path as a
-// zero-length Sleep).
+// SleepUntil suspends the proc until instant t. If t is not after the
+// current time it is a zero-length scheduling point: any event already
+// queued at the current instant runs before it returns. While the engine
+// is not running (a killed proc's deferred code during Shutdown) nothing
+// else can run, so a zero-length sleep returns at once.
+//
+// When the wakeup would be the very next event executed (Engine.aheadOK)
+// the proc runs ahead: the clock moves to t and SleepUntil returns
+// without an event or a coroutine switch. The simulated behaviour is
+// identical either way. A run-ahead to a later instant counts the
+// wakeup it skipped, in Events and in the scheduling sequence, exactly
+// as the queued wakeup would have; a zero-length one counts nothing.
 func (p *Proc) SleepUntil(t Time) {
-	if t <= p.eng.now {
-		if p.eng.quietNow() {
+	e := p.eng
+	if t <= e.now {
+		if !e.running || e.aheadOK(e.now) {
 			return
 		}
-		t = p.eng.now
+		t = e.now
+	} else if e.aheadOK(t) {
+		e.seq++
+		e.fired++
+		e.now = t
+		return
 	}
-	p.eng.AtCall(t, resumeProc, p)
+	e.AtCall(t, resumeProc, p)
 	p.block()
 }
 

@@ -10,6 +10,10 @@
 // spawn per interrupt starts no goroutine and the engine holds no more
 // coroutines than were ever alive at once.
 //
+// A proc sleep whose wakeup would be the very next event executed runs
+// ahead: the clock moves to the wakeup and the proc continues without a
+// queue entry or a coroutine switch.
+//
 // The event queue is allocation-free in steady state: fired and
 // cancelled events return their storage to an engine-owned free list,
 // and the closure-free scheduling forms (AtCall, AfterCall) let hot
@@ -111,7 +115,7 @@ type Engine struct {
 	rng      *rand.Rand
 	fired    uint64
 	stopped  bool
-	limit    Time // 0 means no limit
+	limit    Time // horizon of the current Run; maxTime means none
 	tracer   func(t Time, format string, args ...any)
 	recorder func(TraceEvent)
 	running  bool
@@ -128,7 +132,7 @@ type Engine struct {
 // pseudo-random source seeded with seed (simulation components that need
 // randomness must draw from Engine.Rand for runs to be reproducible).
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed)), limit: maxTime}
 }
 
 // Now returns the current virtual time.
@@ -444,13 +448,18 @@ func (e *Engine) Cancel(ev Event) {
 // events stay queued for the Run after that.
 func (e *Engine) Stop() { e.stopped = true }
 
-// quietNow reports that no queued event can run at the current instant
-// and no stop is pending. A zero-length scheduling point may then
-// return without going through the queue: the wakeup it would schedule
-// is guaranteed to be the very next event executed, so skipping the
-// round-trip is unobservable in simulated behaviour.
-func (e *Engine) quietNow() bool {
-	return !e.stopped && (len(e.pq) == 0 || e.pq[0].at > e.now)
+// aheadOK reports that a wakeup scheduled now for instant t ≥ now would
+// be the very next event Run executes: Run is active with no stop
+// pending, t is within its horizon, and nothing is queued at or before
+// t. The test is strict: at equal times an injected event (xid > 0)
+// sorts after a local wakeup, but one scheduled earlier sorts before
+// it, so a tie is never safe to skip. A sleep may then advance the
+// clock to t and carry on without going through the queue or the
+// coroutine switch; skipping the round-trip is unobservable in
+// simulated behaviour.
+func (e *Engine) aheadOK(t Time) bool {
+	return e.running && !e.stopped && t <= e.limit &&
+		(len(e.pq) == 0 || e.pq[0].at > t)
 }
 
 // Run executes events in order until the queue is empty, Stop is called,
@@ -468,7 +477,7 @@ func (e *Engine) Run() Time {
 	defer func() { e.running = false }()
 	for !e.stopped && len(e.pq) > 0 {
 		n := e.pq[0]
-		if e.limit != 0 && n.at > e.limit {
+		if n.at > e.limit {
 			// Past the horizon: leave it queued and stop.
 			break
 		}
@@ -497,10 +506,12 @@ func (e *Engine) RunFor(d time.Duration) Time {
 
 // RunUntil runs the simulation until the virtual clock would pass t;
 // events scheduled after t remain queued and the clock is advanced to t.
+// If Stop ended the run with events at or before t still queued, the
+// clock stays at the last executed event so a later Run can fire them.
 func (e *Engine) RunUntil(t Time) Time {
 	e.runTo(t)
-	if e.now < t {
-		e.now = t
+	if next, ok := e.NextEventTime(); !ok || next > t {
+		e.advanceTo(t)
 	}
 	return e.now
 }
