@@ -235,7 +235,7 @@ func sleepProgram(seed int64, viaQueue bool) string {
 	step := func(who string, what string) { fmt.Fprintf(&log, "%d %s %s\n", e.Now(), who, what) }
 	sleep := func(p *Proc, d time.Duration) {
 		if viaQueue && d > 0 {
-			e.AtCall(e.Now().Add(d), resumeProc, p)
+			e.wake(e.Now().Add(d), p)
 			p.block()
 			return
 		}

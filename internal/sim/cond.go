@@ -31,13 +31,13 @@ func (c *Cond) Signal() {
 	p := c.waiters[0]
 	copy(c.waiters, c.waiters[1:])
 	c.waiters = c.waiters[:len(c.waiters)-1]
-	c.eng.AtCall(c.eng.now, resumeProc, p)
+	c.eng.wake(c.eng.now, p)
 }
 
 // Broadcast wakes all waiting procs in FIFO order.
 func (c *Cond) Broadcast() {
 	for _, p := range c.waiters {
-		c.eng.AtCall(c.eng.now, resumeProc, p)
+		c.eng.wake(c.eng.now, p)
 	}
 	c.waiters = c.waiters[:0]
 }

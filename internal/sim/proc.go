@@ -24,11 +24,13 @@ type killedError struct{ name string }
 func (k killedError) Error() string { return "sim: proc " + k.name + " killed at shutdown" }
 
 // Proc is a simulated sequential process. Its body runs on a coroutine
-// (iter.Pull), and the engine enforces strict handoff: the body
-// executes only while the engine has switched to it and resumes when
-// the body yields (by sleeping, waiting on a Cond, or returning), so at
-// most one proc runs at a time and execution order is fully determined
-// by the event queue.
+// (iter.Pull), and the engine enforces strict handoff: a body executes
+// only after its wakeup event fires and runs until it blocks (by
+// sleeping, waiting on a Cond, or acquiring a held Resource) or
+// returns, so at most one proc runs at a time and execution order is
+// fully determined by the event queue. A blocked proc runs the event
+// loop on its own coroutine and switches straight to the next proc to
+// run, rather than yielding to Run first (see Engine.dispatch).
 //
 // Procs are pooled per engine: when a body returns, its coroutine parks
 // on the engine's idle list and a later Go runs the next body on it. A
@@ -42,7 +44,8 @@ type Proc struct {
 	stop     func()
 	yield    func(struct{}) bool
 	state    procState
-	panicVal any // non-nil if the body panicked; re-raised by resume
+	linked   bool // on the resume chain: switched to and not yet yielded back
+	panicVal any  // non-nil if the body panicked; forwarded by push
 }
 
 // Go spawns a simulated process whose body is fn. The body starts at the
@@ -61,15 +64,9 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		e.procs = append(e.procs, p)
 	}
 	p.name, p.fn, p.state = name, fn, procNew
-	e.AtCall(e.now, resumeProc, p)
+	e.wake(e.now, p)
 	return p
 }
-
-// resumeProc is the closure-free wakeup callback shared by every proc
-// scheduling point: Sleep, Cond signals, Resource handoff, channel
-// operations. A *Proc boxed into any stores a pointer, so scheduling a
-// wakeup with AtCall(t, resumeProc, p) allocates nothing.
-func resumeProc(a any) { a.(*Proc).resume() }
 
 // serve is the coroutine: it runs one body per start event and, while
 // bodies return normally, parks on the engine's idle list between them.
@@ -87,8 +84,8 @@ func (p *Proc) serve(yield func(struct{}) bool) {
 
 // runBody runs the current body and reports whether it returned
 // normally, leaving the proc fit for reuse. A panic other than the
-// shutdown kill is stashed for resume to re-raise on the engine's
-// goroutine, so the failure surfaces in the Run caller's stack.
+// shutdown kill is stashed for push to forward down the resume chain,
+// so Run re-raises it in its caller's stack.
 func (p *Proc) runBody() (ok bool) {
 	defer func() {
 		p.fn = nil
@@ -113,29 +110,43 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// resume switches to the proc and returns when it yields or its body
-// finishes. Called only from engine context (event callbacks).
-func (p *Proc) resume() {
+// push switches from the running dispatcher to p and returns when p
+// yields back or its body finishes. p is linked for that span. A panic
+// that ended p's body moves to the engine, to be carried down the chain.
+func (e *Engine) push(p *Proc) {
 	if p.state == procDone {
 		return
 	}
+	e.pushes++
+	p.linked = true
 	p.next()
+	p.linked = false
 	if p.panicVal != nil {
-		v := p.panicVal
-		p.panicVal = nil
-		panic(v)
+		e.panicVal, p.panicVal = p.panicVal, nil
 	}
 }
 
-// block yields control back to the engine and returns when the proc is
-// resumed. If Shutdown stops the proc instead, block unwinds the body
-// with killedError. Called only from proc context.
+// block suspends the proc until its wakeup fires. While Run is active
+// the proc runs the event loop itself until then; otherwise (a killed
+// proc's deferred code at Shutdown) it just yields. If Shutdown stops
+// the proc instead, block unwinds the body with killedError. Called
+// only from proc context.
 func (p *Proc) block() {
 	p.state = procBlocked
+	if p.eng.running {
+		p.eng.dispatch(p)
+	} else {
+		p.yieldToParent()
+	}
+	p.state = procRunning
+}
+
+// yieldToParent switches back to whoever switched to p and returns when
+// a dispatcher pops p's wakeup and switches to it again.
+func (p *Proc) yieldToParent() {
 	if !p.yield(struct{}{}) {
 		panic(killedError{p.name})
 	}
-	p.state = procRunning
 }
 
 // Sleep suspends the proc for d of virtual time. It is SleepUntil(now+d).
@@ -171,7 +182,7 @@ func (p *Proc) SleepUntil(t Time) {
 		e.now = t
 		return
 	}
-	e.AtCall(t, resumeProc, p)
+	e.wake(t, p)
 	p.block()
 }
 

@@ -51,7 +51,7 @@ func (r *Resource) Release() {
 	r.queue = r.queue[:len(r.queue)-1]
 	r.holder = next
 	r.busySince = r.eng.now
-	r.eng.AtCall(r.eng.now, resumeProc, next)
+	r.eng.wake(r.eng.now, next)
 }
 
 // Use acquires the resource, holds it for d of virtual time, and

@@ -3,9 +3,12 @@
 // The engine maintains a virtual clock and an event queue ordered by
 // (time, insertion sequence). Sequential activities — the OSIRIS board's
 // on-board processors, host interrupt handlers, driver threads — run as
-// Procs: coroutines (iter.Pull) that execute in strict handoff with the
-// engine, so exactly one of them is runnable at any instant and every
-// run of a simulation is bit-for-bit reproducible. Procs are pooled per
+// Procs: coroutines (iter.Pull) that execute in strict handoff, so at
+// most one of them runs at any instant and every run of a simulation
+// is bit-for-bit reproducible. A proc that blocks does not hand control
+// back to Run: it runs the event loop on its own coroutine and switches
+// straight to the next proc to run, so a handoff between two procs
+// costs one coroutine switch, not two. Procs are pooled per
 // engine: a finished proc's coroutine runs the next spawned body, so a
 // spawn per interrupt starts no goroutine and the engine holds no more
 // coroutines than were ever alive at once.
@@ -72,6 +75,7 @@ type eventNode struct {
 	seq          uint64
 	cb           func(any)
 	arg          any
+	proc         *Proc  // non-nil for a proc wakeup (cb is then nil)
 	index        int    // heap index, -1 while off the heap
 	gen          uint64 // bumped on every recycle; live handles match it
 	cancelledGen uint64 // generation of the most recent cancellation
@@ -119,6 +123,11 @@ type Engine struct {
 	tracer   func(t Time, format string, args ...any)
 	recorder func(TraceEvent)
 	running  bool
+	// panicVal holds a panic raised on a proc's coroutine (by a callback
+	// that ran there, or by a body) while the resume chain carries it
+	// down to Run, which re-raises it.
+	panicVal any
+	pushes   uint64 // switches into a proc, each paired with one yield back
 	// shard/group identify the engine's place in a ShardGroup (zero /
 	// nil for a standalone engine).
 	shard int
@@ -327,6 +336,7 @@ func (e *Engine) recycle(n *eventNode) {
 	n.gen++
 	n.cb = nil
 	n.arg = nil
+	n.proc = nil
 	n.free = e.freeList
 	e.freeList = n
 }
@@ -358,6 +368,12 @@ func (e *Engine) schedule(t Time, cb func(any), arg any) Event {
 	n.arg = arg
 	e.heapPush(n)
 	return Event{n: n, gen: n.gen}
+}
+
+// wake schedules proc p to resume at instant t. It is the one proc
+// wakeup: Go, SleepUntil, Cond and Resource all schedule through it.
+func (e *Engine) wake(t Time, p *Proc) {
+	e.schedule(t, nil, nil).n.proc = p
 }
 
 // InjectStamped schedules cb(arg) at instant t carrying an explicit
@@ -475,7 +491,35 @@ func (e *Engine) Run() Time {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for !e.stopped && len(e.pq) > 0 {
+	e.dispatch(nil)
+	if v := e.panicVal; v != nil {
+		e.panicVal = nil
+		panic(v)
+	}
+	e.stopped = false
+	return e.now
+}
+
+// dispatch is the event loop. Run calls it with self nil. A proc that
+// blocks while Run is active calls it with itself, on its own
+// coroutine, and the loop returns once that proc's wakeup fires. So a
+// blocked proc switches straight to the next proc to run instead of
+// yielding to Run first.
+//
+// The procs switched to form the resume chain: Run's loop switches to a
+// proc, which blocks and switches to the next, and so on; each is
+// linked until it yields back to the dispatcher that switched to it.
+// A popped wakeup for an unlinked proc switches to it, and one for the
+// dispatching proc itself returns. A wakeup for a linked proc further
+// down the chain stays queued while the dispatcher yields to its parent,
+// whose loop carries on with the same queue; so each switch into a proc
+// is paired with exactly one yield back and the chain needs no depth
+// cap. A plain callback runs on whichever coroutine pops it.
+//
+// Every level stops on the same conditions, so a stop, the horizon, an
+// empty queue or a forwarded panic unwinds the whole chain to Run.
+func (e *Engine) dispatch(self *Proc) {
+	for e.panicVal == nil && !e.stopped && len(e.pq) > 0 {
 		n := e.pq[0]
 		if n.at > e.limit {
 			// Past the horizon: leave it queued and stop.
@@ -483,6 +527,10 @@ func (e *Engine) Run() Time {
 		}
 		if n.at < e.now {
 			panic("sim: event queue went backwards")
+		}
+		p := n.proc
+		if p != nil && p.linked && p != self {
+			break
 		}
 		e.heapRemove(0)
 		e.now = n.at
@@ -492,10 +540,31 @@ func (e *Engine) Run() Time {
 		// whatever it schedules; the generation bump makes a self-Cancel
 		// from inside the callback a no-op.
 		e.recycle(n)
-		cb(arg)
+		switch {
+		case p == nil && self == nil:
+			cb(arg)
+		case p == nil:
+			e.callOn(cb, arg)
+		case p == self:
+			return
+		default:
+			e.push(p)
+		}
 	}
-	e.stopped = false
-	return e.now
+	if self != nil {
+		self.yieldToParent()
+	}
+}
+
+// callOn runs a callback on a proc's coroutine. A panic must not unwind
+// that proc, so it is stashed for the chain to carry down to Run.
+func (e *Engine) callOn(cb func(any), arg any) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicVal = r
+		}
+	}()
+	cb(arg)
 }
 
 // RunFor runs the simulation until the virtual clock would pass now+d;
