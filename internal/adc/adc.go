@@ -212,9 +212,9 @@ func (m *Manager) VirtualOpen() int64 { return m.virtOpen }
 
 // RegisterMetrics registers the manager's counters under prefix: total
 // and per-virtual-ADC-attributed violations plus the mux occupancy
-// gauges. Gated by the caller (core.Options.ADCMetrics) the same way
-// AdaptiveMetrics gates the RDP family, so legacy snapshots keep their
-// name set. A nil registry is a no-op.
+// gauges. Only experiments that build ADC managers register it, so
+// snapshots of the others keep their name set. A nil registry is a
+// no-op.
 func (m *Manager) RegisterMetrics(r *metrics.Registry, prefix string) {
 	if r == nil {
 		return

@@ -129,18 +129,13 @@ type LinkStats struct {
 // linkCell is one in-flight cell of a deterministic link's train:
 // serStart is the instant its transmit-FIFO slot frees (when the old
 // pacing process would have dequeued it to start serialization), and
-// deliver is the instant the receiver callback runs. accept is the
-// instant the sender's Send returned — for a proc sender that is the
-// push instant, but a virtual sender (SendScheduled) may push a cell
-// whose accept lies in the future, and the walker must not claim the
-// delivery event before a real sender would have scheduled it.
-// schedAt/seq are the cell's canonical delivery stamp, filled only on
-// stamped links (Link.xid != 0); see the stamped-link comment on Link.
+// deliver is the instant the receiver callback runs. schedAt/seq are
+// the rest of its delivery event's canonical stamp; see the comment on
+// Link.xid.
 type linkCell struct {
 	c        Cell
 	serStart sim.Time
 	deliver  sim.Time
-	accept   sim.Time
 	schedAt  sim.Time
 	seq      uint64
 }
@@ -176,30 +171,28 @@ type Link struct {
 	frontier    sim.Time // serialization end of the newest accepted cell
 	walkerArmed bool
 	slotArmed   bool
-	armPending  bool // arm event scheduled at the next accept instant
 	notFull     *sim.Cond
 
-	// Stamped mode (xid != 0, local deterministic links only): delivery
-	// events carry an explicit canonical stamp (schedAt, xid, seq) via
-	// InjectStamped instead of the engine's implicit scheduling stamp.
+	// Every delivery event of a deterministic or cross-shard link
+	// carries an explicit canonical stamp (schedAt, xid, seq), queued
+	// with InjectStamped rather than the engine's implicit scheduling
+	// stamp. xid is the link's channel id, handed out by
+	// Engine.NextXID in construction order; seq counts the link's cells.
 	//
 	// Why: at a tied delivery instant the engine orders events by
-	// (at, schedAt, xid, seq). Implicitly stamped local events tie-break
-	// by global scheduling order (xid 0, engine seq), which depends on
-	// how the topology is partitioned; cross-shard events tie-break by
-	// their channel id. A workload that drives many symmetric senders
-	// into one switch port — fan-in incast is the canonical case — ties
+	// (at, schedAt, xid, seq). Implicitly stamped events would tie-break
+	// by global scheduling order, which depends on how the topology is
+	// partitioned. A workload that drives many symmetric senders into
+	// one switch port — fan-in incast is the canonical case — ties
 	// constantly (senders re-phase-lock on the shared egress
-	// serialization grid even when started staggered), so the serial and
-	// sharded runs diverge. Stamping local links with the same
-	// construction-order channel ids the cross-shard path uses makes the
-	// tie-break a pure function of the topology: byte-identical behavior
-	// at any shard count. The stamp mimics the serial machine exactly
-	// (schedAt = max(accept, previous delivery), per-link monotone seq),
-	// so a stamped link in isolation times identically to an unstamped
-	// one; only tie ORDER against other links is pinned.
+	// serialization grid even when started staggered). Channel ids make
+	// the tie-break a pure function of the topology, so a link delivers
+	// the same way on one engine and across shards. The stamp mimics
+	// the per-cell machine (schedAt = max(accept, previous delivery)),
+	// so it pins only the ORDER of ties against other links, never a
+	// delivery instant.
 	xid  uint64
-	lseq uint64 // per-link stamp counter (monotone, matches xlink.xseq)
+	lseq uint64 // seq of the newest stamped cell
 
 	// Cross-shard half (nil for a link local to one engine). See xlink.go.
 	x *xlink
@@ -220,7 +213,7 @@ func NewLink(e *sim.Engine, cfg LinkConfig) *Link {
 	if cfg.Skew == nil {
 		cfg.Skew = NoSkew{}
 	}
-	l := &Link{eng: e, cfg: cfg}
+	l := &Link{eng: e, cfg: cfg, xid: e.NextXID()}
 	l.cellTime = time.Duration(int64(CellSize*8) * int64(time.Second) / cfg.RateBps)
 	if cfg.Fault != nil {
 		site := cfg.FaultSite
@@ -269,55 +262,44 @@ func (l *Link) Send(p *sim.Proc, c Cell) {
 		l.armSlotWake()
 		l.notFull.Wait(p)
 	}
-	now := l.eng.Now()
-	serStart := now
-	if l.frontier > serStart {
-		serStart = l.frontier
+	l.enqueue(c, l.eng.Now())
+	if l.notFull.Waiting() > 0 {
+		l.armSlotWake()
 	}
+}
+
+// enqueue is the deterministic Send/SendScheduled tail for a cell the
+// transmit FIFO accepts at instant u: claim its serialization slot,
+// compute its delivery instant, and stamp its delivery event.
+//
+// The stamp mimics the per-cell machine, whose walker schedules cell
+// i's delivery either at its accept instant (walker idle — the previous
+// delivery is already done) or from the previous delivery event (walker
+// busy — it re-arms as it pops cell i-1). Both collapse to
+// schedAt = max(u, deliver_{i-1}).
+func (l *Link) enqueue(c Cell, u sim.Time) {
+	serStart := max(u, l.frontier)
 	serEnd := serStart.Add(l.cellTime)
 	l.frontier = serEnd
 	// Skew models in train mode never draw; passing a nil RNG turns any
 	// violation of that invariant into a loud failure instead of silent
 	// nondeterminism.
 	at := serEnd.Add(l.cfg.PropDelay + l.cfg.Skew.Delay(l.cfg.Index, nil))
-	prevLast := l.lastDeliver
+	schedAt := max(u, l.lastDeliver)
 	if at <= l.lastDeliver {
 		at = l.lastDeliver + 1 // preserve per-link FIFO order
 	}
 	l.lastDeliver = at
 	l.stats.Sent++
+	l.lseq++
 	if l.x != nil {
 		// The occupancy ring keeps only the timing of the slot; the cell
 		// itself travels through the cross-shard buffer.
-		l.push(linkCell{serStart: serStart, deliver: at, accept: now})
-		l.sendRemote(c, at, prevLast)
-	} else if l.xid != 0 {
-		l.pushStamped(c, serStart, at, now, prevLast)
-	} else {
-		l.push(linkCell{c: c, serStart: serStart, deliver: at, accept: now})
-		if !l.walkerArmed && !l.armPending {
-			l.walkerArmed = true
-			l.eng.AtCall(at, linkDeliverCB, l)
-		}
+		l.push(linkCell{serStart: serStart, deliver: at})
+		l.x.xout = append(l.x.xout, xcell{c: c, deliver: at, schedAt: schedAt, seq: l.lseq})
+		return
 	}
-	if l.notFull.Waiting() > 0 {
-		l.armSlotWake()
-	}
-}
-
-// pushStamped is the stamped-local Send/SendScheduled tail: push the
-// cell with its canonical stamp (the same schedAt mimicry sendRemote
-// performs) and make sure a stamped walker event is pending. The
-// walker invariant in stamped mode is simple — armed iff the train is
-// non-empty — because the stamp is explicit, so arming never has to
-// wait for the accept instant the way the implicit machine does.
-func (l *Link) pushStamped(c Cell, serStart, at, accept, prevLast sim.Time) {
-	schedAt := accept
-	if prevLast > schedAt {
-		schedAt = prevLast
-	}
-	l.lseq++
-	l.push(linkCell{c: c, serStart: serStart, deliver: at, accept: accept, schedAt: schedAt, seq: l.lseq})
+	l.push(linkCell{c: c, serStart: serStart, deliver: at, schedAt: schedAt, seq: l.lseq})
 	if !l.walkerArmed {
 		l.walkerArmed = true
 		head := l.at(0)
@@ -332,9 +314,9 @@ func (l *Link) pushStamped(c Cell, serStart, at, accept, prevLast sim.Time) {
 // link's only sender (the switch's egress arbiter is; boards are not).
 // The link performs exactly the state transitions Send would have
 // performed had a proc executed it at t — virtual-FIFO blocking,
-// serialization pacing, the per-link FIFO-order bump, walker arming at
-// the accept instant — and returns the instant Send would have
-// returned: the first u ≥ t at which the transmit FIFO has a free
+// serialization pacing, the per-link FIFO-order bump, the delivery
+// stamp of the accept instant — and returns the instant Send would
+// have returned: the first u ≥ t at which the transmit FIFO has a free
 // slot. Deterministic (cell-train) links only.
 func (l *Link) SendScheduled(t sim.Time, c Cell) sim.Time {
 	if !l.det {
@@ -344,42 +326,7 @@ func (l *Link) SendScheduled(t sim.Time, c Cell) sim.Time {
 		l.purgeServed(l.eng.Now())
 	}
 	u := l.slotFree(t)
-	serStart := u
-	if l.frontier > serStart {
-		serStart = l.frontier
-	}
-	serEnd := serStart.Add(l.cellTime)
-	l.frontier = serEnd
-	at := serEnd.Add(l.cfg.PropDelay + l.cfg.Skew.Delay(l.cfg.Index, nil))
-	prevLast := l.lastDeliver
-	if at <= l.lastDeliver {
-		at = l.lastDeliver + 1 // preserve per-link FIFO order
-	}
-	l.lastDeliver = at
-	l.stats.Sent++
-	if l.x != nil {
-		l.push(linkCell{serStart: serStart, deliver: at, accept: u})
-		l.sendRemoteAt(c, at, prevLast, u)
-		return u
-	}
-	if l.xid != 0 {
-		l.pushStamped(c, serStart, at, u, prevLast)
-		return u
-	}
-	l.push(linkCell{c: c, serStart: serStart, deliver: at, accept: u})
-	if !l.walkerArmed && !l.armPending {
-		if u <= l.eng.Now() {
-			// A proc sender would have armed right here, right now.
-			l.walkerArmed = true
-			l.eng.AtCall(at, linkDeliverCB, l)
-		} else {
-			// A proc sender would still be blocked; it would arm the
-			// walker only at the accept instant, and the delivery event
-			// must carry that instant as its scheduling stamp.
-			l.armPending = true
-			l.eng.AtCall(u, linkArmCB, l)
-		}
-	}
+	l.enqueue(c, u)
 	return u
 }
 
@@ -400,17 +347,6 @@ func (l *Link) slotFree(t sim.Time) sim.Time {
 		}
 	}
 	return t
-}
-
-// linkArmCB fires at a virtually sent cell's accept instant: the proc
-// sender being mimicked would arm the delivery walker here, so the
-// delivery event's canonical (at, schedAt) stamp matches the serial
-// per-cell machine exactly.
-func linkArmCB(a any) {
-	l := a.(*Link)
-	l.armPending = false
-	l.walkerArmed = true
-	l.eng.AtCall(l.at(0).deliver, linkDeliverCB, l)
 }
 
 // queued counts train cells still occupying a transmit-FIFO slot at
@@ -454,12 +390,8 @@ func linkSlotCB(a any) {
 }
 
 // linkDeliverCB is the train walker: deliver the front cell, then
-// re-arm for the next one. Deliveries are strictly increasing per link,
-// so a single event walks the whole train. A next cell pushed by
-// SendScheduled whose accept instant is still ahead is not claimed yet:
-// in the serial per-cell machine the walker would have found an empty
-// train here and the (blocked) sender would arm at the accept instant,
-// so the re-arm defers to linkArmCB to keep the delivery stamp exact.
+// re-arm with the next cell's own stamp. Deliveries are strictly
+// increasing per link, so a single event walks the whole train.
 func linkDeliverCB(a any) {
 	l := a.(*Link)
 	e := l.pop()
@@ -469,18 +401,7 @@ func linkDeliverCB(a any) {
 	}
 	if l.count > 0 {
 		nxt := l.at(0)
-		if l.xid != 0 {
-			// Stamped mode: the canonical stamp is explicit, so re-arm
-			// directly with the next cell's own stamp (the accept-instant
-			// deferral below exists only to make the implicit stamp right).
-			l.eng.InjectStamped(nxt.deliver, nxt.schedAt, l.xid, nxt.seq, linkDeliverCB, l)
-		} else if nxt.accept > l.eng.Now() {
-			l.walkerArmed = false
-			l.armPending = true
-			l.eng.AtCall(nxt.accept, linkArmCB, l)
-		} else {
-			l.eng.AtCall(nxt.deliver, linkDeliverCB, l)
-		}
+		l.eng.InjectStamped(nxt.deliver, nxt.schedAt, l.xid, nxt.seq, linkDeliverCB, l)
 	} else {
 		l.walkerArmed = false
 	}
@@ -596,16 +517,7 @@ type StripeGroup struct {
 // NewStripeGroup creates width links sharing the given base config (the
 // Index field is overridden per link).
 func NewStripeGroup(e *sim.Engine, width int, cfg LinkConfig) *StripeGroup {
-	if width <= 0 {
-		panic("atm: stripe width must be positive")
-	}
-	g := &StripeGroup{}
-	for i := 0; i < width; i++ {
-		c := cfg
-		c.Index = i
-		g.links = append(g.links, NewLink(e, c))
-	}
-	return g
+	return NewCrossStripeGroup(nil, e, e, width, cfg)
 }
 
 // Width returns the number of physical links.

@@ -247,3 +247,36 @@ func TestLinkStatsStableAfterShutdown(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkTiesDeliverInConstructionOrder: two links on one engine whose
+// cells share a delivery instant and a scheduling instant deliver in
+// the order the links were built, whichever was sent first — the
+// tie-break is the links' channel ids, never scheduling order, so it
+// does not depend on how a topology is partitioned.
+func TestLinkTiesDeliverInConstructionOrder(t *testing.T) {
+	for _, sendFirst := range []int{0, 1} {
+		e := sim.NewEngine(1)
+		links := []*Link{NewLink(e, LinkConfig{}), NewLink(e, LinkConfig{})}
+		var got []int
+		var at []sim.Time
+		for i, l := range links {
+			i := i
+			l.SetReceiver(func(Cell, int) {
+				got = append(got, i)
+				at = append(at, e.Now())
+			})
+		}
+		e.Go("tx", func(p *sim.Proc) {
+			links[sendFirst].Send(p, Cell{})
+			links[1-sendFirst].Send(p, Cell{})
+		})
+		e.Run()
+		e.Shutdown()
+		if len(got) != 2 || at[0] != at[1] {
+			t.Fatalf("send %d first: deliveries %v at %v, want two at one instant", sendFirst, got, at)
+		}
+		if got[0] != 0 || got[1] != 1 {
+			t.Errorf("send %d first: delivered links %v, want construction order [0 1]", sendFirst, got)
+		}
+	}
+}

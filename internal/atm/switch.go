@@ -234,11 +234,6 @@ type Switch struct {
 	// where the cell came from. Lazily allocated; nil costs the hot
 	// forwarding path nothing.
 	inRoutes map[inPortVCI]int
-	// linkXID numbers the switch's links for the canonical tie-break
-	// when the fabric has no shard group (serial run); it mirrors the
-	// ShardGroup.NextXID sequence, so a link gets the same channel id at
-	// any shard count.
-	linkXID uint64
 }
 
 // inPortVCI keys the per-input-port route table.
@@ -295,36 +290,14 @@ func newSwitch(g *sim.ShardGroup, e *sim.Engine, nodeEng []*sim.Engine, nports i
 		if g != nil {
 			pt.now = g.Now
 		}
-		if far == e {
-			pt.in = NewStripeGroup(e, cfg.Width, inCfg)
-			pt.out = NewStripeGroup(e, cfg.Width, outCfg)
-			// Stamp the local links with the channel ids the cross-shard
-			// constructor would have assigned (same construction order:
-			// ingress lanes then egress lanes, port by port). Delivery
-			// tie-break order among the fabric's links is then a function
-			// of the topology alone — a serial run, a sharded run, and a
-			// run where this port happens to share the fabric's shard all
-			// order same-instant cells from different links identically.
-			// Without this, symmetric fan-in workloads (whose senders
-			// phase-lock on the egress serialization grid) diverge across
-			// shard counts.
-			for _, grp := range [...]*StripeGroup{pt.in, pt.out} {
-				for _, l := range grp.links {
-					if g != nil {
-						l.xid = g.NextXID()
-					} else {
-						sw.linkXID++
-						l.xid = sw.linkXID
-					}
-				}
-			}
-		} else {
-			// Ingress carries node → switch, egress switch → node. The
-			// node's board paces sends on its own shard; deliveries into
-			// sw.forward and the board's receive path cross at barriers.
-			pt.in = NewCrossStripeGroup(g, far, e, cfg.Width, inCfg)
-			pt.out = NewCrossStripeGroup(g, e, far, cfg.Width, outCfg)
-		}
+		// Ingress carries node → switch, egress switch → node, built in
+		// that order port by port, so every link takes the same channel
+		// id at any shard count. A port whose node shares the fabric's
+		// engine gets local links; otherwise the node's board paces sends
+		// on its own shard and deliveries into sw.forward and the board's
+		// receive path cross at barriers.
+		pt.in = NewCrossStripeGroup(g, far, e, cfg.Width, inCfg)
+		pt.out = NewCrossStripeGroup(g, e, far, cfg.Width, outCfg)
 		in := i
 		pt.in.SetReceiver(func(c Cell, lane int) { sw.forward(in, c, lane) })
 		sw.ports = append(sw.ports, pt)

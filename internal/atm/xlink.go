@@ -15,20 +15,13 @@ import (
 // source engine — FIFO occupancy, serialization pacing, backpressure —
 // but instead of scheduling delivery events locally it appends each
 // cell to an outbound buffer together with the canonical stamp
-// (deliver, schedAt, seq) its delivery event would have carried in a
-// serial run. At every window barrier the group flushes the buffer into
-// the destination engine with Engine.InjectStamped, so the merged
-// execution orders cross-shard deliveries exactly where the serial
-// engine would have.
-//
-// Stamp mimicry, deterministic mode: the serial train walker schedules
-// cell i's delivery either at cell i's Send instant (walker idle — the
-// previous delivery is already done) or from the previous delivery
-// event (walker busy — it re-arms as it pops cell i-1). Both collapse
-// to schedAt = max(send_i, deliver_{i-1}), computed sender-side from
-// state the sender already tracks. Paced mode needs no mimicry: the
-// pacing proc schedules each delivery at its own current instant, which
-// the sender records directly.
+// (deliver, schedAt, seq) a local link gives its delivery event (see
+// Link.enqueue). At every window barrier the group flushes the buffer
+// into the destination engine with Engine.InjectStamped, so the merged
+// execution orders cross-shard deliveries exactly where a local link
+// on one engine would have. Paced mode stamps each cell with the pacing
+// proc's current instant, the instant the serial machine schedules its
+// delivery at.
 //
 // Delivery runs on the destination engine. Deterministic links keep the
 // serial walker structure — cells wait in a receive train and a single
@@ -55,9 +48,7 @@ type xcell struct {
 type xlink struct {
 	grp *sim.ShardGroup
 	dst *sim.Engine
-	xid uint64 // stable channel id; tie-break in the canonical order
 
-	xseq uint64  // sender-side per-channel stamp counter
 	xout []xcell // sender → barrier
 
 	xin    []xcell // barrier → receiver (FIFO; head compacted at flush)
@@ -66,32 +57,36 @@ type xlink struct {
 }
 
 // NewCrossLink creates a link whose sender runs on src and whose
-// receiver callback runs on dst, two engines of group g. The link's
-// PropDelay joins the group's lookahead. Configurations that draw from
-// the shared engine RNG per cell (LossRate, random skew) are refused:
-// those draws consume one engine's stream in delivery order, which a
-// partitioned topology cannot reproduce. Fault injectors are fine —
-// they draw from site-derived streams that are partition-independent by
-// construction.
+// receiver callback runs on dst, two engines of group g; with src ==
+// dst it is an ordinary local link (NewLink), and g may be nil. A
+// cross-shard link's PropDelay joins the group's lookahead.
+// Configurations that draw from the shared engine RNG per cell
+// (LossRate, random skew) are refused across shards: those draws
+// consume one engine's stream in delivery order, which a partitioned
+// topology cannot reproduce. Fault injectors are fine — they draw from
+// site-derived streams that are partition-independent by construction.
 func NewCrossLink(g *sim.ShardGroup, src, dst *sim.Engine, cfg LinkConfig) *Link {
-	if g == nil || src == nil || dst == nil {
-		panic("atm: cross-shard link needs a group and both engines")
+	if src == nil || dst == nil {
+		panic("atm: link needs both engines")
 	}
 	if src == dst {
-		panic("atm: cross-shard link endpoints must be on different engines")
+		return NewLink(src, cfg)
+	}
+	if g == nil {
+		panic("atm: cross-shard link needs a group")
 	}
 	if cfg.DrawsEngineRand() {
 		panic(fmt.Sprintf("atm: link config (LossRate=%v, Skew=%T) draws from the shared engine RNG per cell and cannot cross shards; run with Shards=1 or move the randomness to a fault injector", cfg.LossRate, cfg.Skew))
 	}
 	l := NewLink(src, cfg)
-	l.x = &xlink{grp: g, dst: dst, xid: g.NextXID()}
+	l.x = &xlink{grp: g, dst: dst}
 	g.AddLookahead(l.cfg.PropDelay)
 	g.OnBarrier(l.flushX)
 	return l
 }
 
-// NewCrossStripeGroup creates width cross-shard links sharing cfg, the
-// striped analogue of NewCrossLink.
+// NewCrossStripeGroup creates width links from src to dst sharing cfg,
+// the striped analogue of NewCrossLink (local links when src == dst).
 func NewCrossStripeGroup(g *sim.ShardGroup, src, dst *sim.Engine, width int, cfg LinkConfig) *StripeGroup {
 	if width <= 0 {
 		panic("atm: stripe width must be positive")
@@ -103,43 +98,6 @@ func NewCrossStripeGroup(g *sim.ShardGroup, src, dst *sim.Engine, width int, cfg
 		sg.links = append(sg.links, NewCrossLink(g, src, dst, c))
 	}
 	return sg
-}
-
-// Remote reports whether the link crosses shards; Dst returns the
-// destination engine (nil for a local link).
-func (l *Link) Remote() bool { return l.x != nil }
-
-// Dst returns the engine the receiver callback runs on.
-func (l *Link) Dst() *sim.Engine {
-	if l.x != nil {
-		return l.x.dst
-	}
-	return l.eng
-}
-
-// sendRemote is the deterministic Send tail for a cross-shard link:
-// stamp the cell and buffer it for the barrier instead of arming the
-// local walker. prevLast is lastDeliver before this cell claimed its
-// slot — the previous cell's delivery instant, which decides whether
-// the serial walker would have been idle (schedAt = now) or re-arming
-// (schedAt = prevLast) when this cell's delivery got scheduled.
-func (l *Link) sendRemote(c Cell, at sim.Time, prevLast sim.Time) {
-	l.sendRemoteAt(c, at, prevLast, l.eng.Now())
-}
-
-// sendRemoteAt is sendRemote for a virtual sender (SendScheduled): now
-// is the computed accept instant — the instant a proc sender's Send
-// would have run — so the mimicked stamp is identical even though the
-// cell is buffered ahead of time. Appends stay in accept order, hence
-// the per-channel seq keeps its serial meaning.
-func (l *Link) sendRemoteAt(c Cell, at sim.Time, prevLast sim.Time, now sim.Time) {
-	schedAt := now
-	if prevLast > schedAt {
-		schedAt = prevLast
-	}
-	x := l.x
-	x.xseq++
-	x.xout = append(x.xout, xcell{c: c, deliver: at, schedAt: schedAt, seq: x.xseq})
 }
 
 // purgeServed drops leading train entries whose transmit-FIFO slot has
@@ -159,12 +117,12 @@ func (l *Link) purgeServed(now sim.Time) {
 func (l *Link) paceRemote(c Cell, deliverAt sim.Time, duplicate bool) {
 	x := l.x
 	now := l.eng.Now()
-	x.xseq++
-	x.xout = append(x.xout, xcell{c: c, deliver: deliverAt, schedAt: now, seq: x.xseq})
+	l.lseq++
+	x.xout = append(x.xout, xcell{c: c, deliver: deliverAt, schedAt: now, seq: l.lseq})
 	if duplicate {
 		l.stats.Duplicated++
-		x.xseq++
-		x.xout = append(x.xout, xcell{c: c, deliver: deliverAt + 1, schedAt: now, seq: x.xseq})
+		l.lseq++
+		x.xout = append(x.xout, xcell{c: c, deliver: deliverAt + 1, schedAt: now, seq: l.lseq})
 	}
 }
 
@@ -180,7 +138,7 @@ func (l *Link) flushX() {
 		// Paced: one stamped event per cell, like the serial machine.
 		for i := range x.xout {
 			e := x.xout[i]
-			x.grp.Inject(x.dst, e.deliver, e.schedAt, x.xid, e.seq, xPacedDeliverCB, &xDelivery{l: l, c: e.c})
+			x.grp.Inject(x.dst, e.deliver, e.schedAt, l.xid, e.seq, xPacedDeliverCB, &xDelivery{l: l, c: e.c})
 		}
 		x.xout = x.xout[:0]
 		return
@@ -197,7 +155,7 @@ func (l *Link) flushX() {
 	if !x.xArmed {
 		x.xArmed = true
 		head := &x.xin[x.xinPos]
-		x.grp.Inject(x.dst, head.deliver, head.schedAt, x.xid, head.seq, xDeliverCB, l)
+		x.grp.Inject(x.dst, head.deliver, head.schedAt, l.xid, head.seq, xDeliverCB, l)
 	}
 }
 
@@ -216,7 +174,7 @@ func xDeliverCB(a any) {
 	}
 	if x.xinPos < len(x.xin) {
 		head := &x.xin[x.xinPos]
-		x.dst.InjectStamped(head.deliver, head.schedAt, x.xid, head.seq, xDeliverCB, l)
+		x.dst.InjectStamped(head.deliver, head.schedAt, l.xid, head.seq, xDeliverCB, l)
 	} else {
 		x.xArmed = false
 	}

@@ -25,23 +25,39 @@ import (
 // directly, preserving the paper's §4 apparatus bit for bit — so Fabric
 // is nil there.
 type Cluster struct {
-	// Eng is the single engine of a serial cluster (Options.Shards ≤ 1).
+	// Eng is the lone engine of a 1-shard cluster (Plan().Shards == 1).
 	// It is nil when the cluster is sharded, so stale direct uses fail
 	// loudly instead of silently reading one shard; sharded-aware code
 	// goes through the dispatch methods (Run, RunUntil, Now, Events, Go,
 	// EngFor) which work at any shard count.
 	Eng *sim.Engine
-	// Group coordinates the engine shards of a sharded cluster
-	// (Options.Shards > 1); nil for the serial inline path.
+	// Group holds the cluster's engine shards. Every cluster has one; a
+	// 1-shard group runs its engine inline on the caller's goroutine.
 	Group *sim.ShardGroup
 	Opt   Options
 	Nodes []*Node
 	// Fabric is the cell switch joining the nodes (nil for the two-node
 	// back-to-back testbed).
 	Fabric *atm.Switch
-	engs   []*sim.Engine // per-node engines (sharded only)
+	engs   []*sim.Engine // node index → engine
 	plan   ShardPlan
 	nextID int
+}
+
+// newCluster creates the shard group for plan, maps each node to its
+// engine, and registers the engine telemetry; the caller builds the
+// nodes and wires them.
+func newCluster(opt Options, plan ShardPlan) *Cluster {
+	g := sim.NewShardGroup(opt.Seed, plan.Shards)
+	cl := &Cluster{Group: g, Opt: opt, plan: plan}
+	if plan.Shards == 1 {
+		cl.Eng = g.Engine(0)
+	}
+	for _, s := range plan.NodeShard {
+		cl.engs = append(cl.engs, g.Engine(s))
+	}
+	cl.registerEngineDiag()
+	return cl
 }
 
 // buildNode assembles one host: machine, board, driver, and the
@@ -66,9 +82,6 @@ func buildNode(e *sim.Engine, opt Options, name string, addr proto.HostAddr) *No
 		b.RegisterMetrics(opt.Metrics, name+"/board")
 		d.RegisterMetrics(opt.Metrics, name+"/driver")
 		n.RDP.RegisterMetrics(opt.Metrics, name+"/rdp")
-		if opt.AdaptiveMetrics {
-			n.RDP.RegisterAdaptiveMetrics(opt.Metrics, name+"/rdp")
-		}
 	}
 	return n
 }
@@ -84,20 +97,15 @@ func NewCluster(opt Options, n int) *Cluster {
 		panic("core: a cluster needs at least 2 nodes")
 	}
 	opt = opt.withDefaults()
-	if opt.Shards > 1 {
-		checkShardable(opt)
-		return buildShardedCluster(opt, n, clusterPlan(opt.Shards, n))
-	}
-	e := sim.NewEngine(opt.Seed)
-	cl := &Cluster{Eng: e, Opt: opt, plan: ShardPlan{Shards: 1, FabricShard: 0, NodeShard: make([]int, n)}}
+	cl := newCluster(opt, clusterPlan(opt.Shards, n))
 	width := opt.Board.StripeWidth
 	if width == 0 {
 		width = atm.StripeWidth
 	}
 	for i := 0; i < n; i++ {
-		cl.Nodes = append(cl.Nodes, buildNode(e, opt, fmt.Sprintf("n%d", i), proto.HostAddr(i+1)))
+		cl.Nodes = append(cl.Nodes, buildNode(cl.engs[i], opt, fmt.Sprintf("n%d", i), proto.HostAddr(i+1)))
 	}
-	cl.Fabric = atm.NewSwitch(e, n, atm.SwitchConfig{
+	cl.Fabric = atm.NewShardedSwitch(cl.Group, cl.Group.Engine(cl.plan.FabricShard), cl.engs, atm.SwitchConfig{
 		Width:         width,
 		Link:          opt.Link,
 		QueueCells:    opt.FabricQueueCells,
@@ -110,7 +118,6 @@ func NewCluster(opt Options, n int) *Cluster {
 		nd.Board.AttachRxLinks(pt.Egress())
 	}
 	cl.Fabric.RegisterMetrics(opt.Metrics, "fabric")
-	cl.registerEngineDiag()
 	return cl
 }
 
@@ -125,13 +132,7 @@ func (cl *Cluster) Node(i int) *Node { return cl.Nodes[i] }
 
 // Shutdown tears the simulation down — every shard's procs and, for a
 // sharded cluster, the group's worker goroutines.
-func (cl *Cluster) Shutdown() {
-	if cl.Group != nil {
-		cl.Group.Shutdown()
-		return
-	}
-	cl.Eng.Shutdown()
-}
+func (cl *Cluster) Shutdown() { cl.Group.Shutdown() }
 
 // OpenPair opens a unidirectional connection path from node `from` to
 // node `to` for the given protocol: it allocates a fresh VCI, installs

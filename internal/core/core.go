@@ -96,39 +96,26 @@ type Options struct {
 	// Metrics, when non-nil, registers the whole stack's telemetry in
 	// this registry as the topology is built: per-node board, driver,
 	// and RDP families, per-port fabric families, and (as diagnostics)
-	// the engine substrate. A nil registry disables the plane entirely —
+	// the engine substrate. Families of optional machinery join only
+	// when it is used: a node's adaptive-RDP family when its first
+	// adaptive session opens, the ADC and fbuf families when RunTenants
+	// builds them. A nil registry disables the plane entirely —
 	// every component holds nil handles whose methods are no-ops, so the
 	// hot paths pay one branch and zero allocations. One registry serves
 	// one topology; building two clusters against the same registry
 	// panics on the duplicate names.
 	Metrics *metrics.Registry
-	// AdaptiveMetrics additionally registers each node's adaptive-RDP
-	// telemetry family (fast_retx, ecn_echoed, ecn_backoffs,
-	// rtt_samples, cwnd/ssthresh gauges, RTT quantile sketch) in the
-	// Metrics registry. Gated separately because the committed
-	// BENCH_metrics.json snapshot pins the exact metric name set of the
-	// legacy experiments: a configuration that never opens an adaptive
-	// session must not grow new (all-zero) families. No-op when Metrics
-	// is nil.
-	AdaptiveMetrics bool
-	// ADCMetrics additionally registers the multi-tenant plane's
-	// telemetry — the ADC managers' violation and mux-occupancy families
-	// plus the fbuf manager's churn family — when an experiment builds
-	// those components (RunTenants). Gated separately for the same reason
-	// as AdaptiveMetrics: the committed BENCH_metrics.json snapshot pins
-	// the metric name set of configurations that never open an ADC. No-op
-	// when Metrics is nil.
-	ADCMetrics bool
 	// Shards partitions the topology over that many engine shards run by
 	// a conservative-parallel scheduler (sim.ShardGroup), with the link
-	// propagation delay as lookahead. 0 or 1 selects the exact serial
-	// inline path — one engine, no group, no worker goroutines — the
-	// same discipline as parexp's Workers=1. Values above the component
-	// count are clamped (a cluster of n nodes uses at most n+1 shards:
-	// the switch plus one per node; a testbed uses at most 2). Results
-	// are byte-identical at every shard count; configurations that draw
-	// per-cell randomness from the shared engine RNG (Link.LossRate,
-	// random skew) refuse to shard.
+	// propagation delay as lookahead. 0 or 1 builds a 1-shard group,
+	// which runs its one engine inline — no worker goroutines, no
+	// windows — the same discipline as parexp's Workers=1. Values above
+	// the component count are clamped (a cluster of n nodes uses at most
+	// n+1 shards: the switch plus one per node; a testbed uses at most
+	// 2). Results are byte-identical at every shard count; link configs
+	// that draw per-cell randomness from the shared engine RNG
+	// (Link.LossRate, random skew) refuse to cross shards
+	// (atm.NewCrossLink).
 	Shards int
 }
 
@@ -193,26 +180,11 @@ type txSink struct {
 // calibrated results are byte-identical either way.
 func NewTestbed(opt Options) *Testbed {
 	opt = opt.withDefaults()
-	var cl *Cluster
-	if opt.Shards > 1 {
-		checkShardable(opt)
-		plan := testbedPlan()
-		g := sim.NewShardGroup(opt.Seed, plan.Shards)
-		cl = &Cluster{Group: g, Opt: opt, plan: plan}
-		cl.engs = []*sim.Engine{g.Engine(plan.NodeShard[0]), g.Engine(plan.NodeShard[1])}
-		cl.Nodes = []*Node{
-			buildNode(cl.engs[0], opt, "A", 1),
-			buildNode(cl.engs[1], opt, "B", 2),
-		}
-	} else {
-		e := sim.NewEngine(opt.Seed)
-		cl = &Cluster{Eng: e, Opt: opt, plan: ShardPlan{Shards: 1, FabricShard: -1, NodeShard: []int{0, 0}}}
-		cl.Nodes = []*Node{
-			buildNode(e, opt, "A", 1),
-			buildNode(e, opt, "B", 2),
-		}
+	cl := newCluster(opt, testbedPlan(opt.Shards))
+	cl.Nodes = []*Node{
+		buildNode(cl.engs[0], opt, "A", 1),
+		buildNode(cl.engs[1], opt, "B", 2),
 	}
-	cl.registerEngineDiag()
 	tb := &Testbed{Cluster: cl, A: cl.Nodes[0], B: cl.Nodes[1]}
 
 	if opt.TxIsolated {
@@ -236,12 +208,7 @@ func NewTestbed(opt Options) *Testbed {
 		if lc.Fault != nil && lc.FaultSite == "" {
 			lc.FaultSite = site
 		}
-		var g *atm.StripeGroup
-		if cl.Group != nil {
-			g = atm.NewCrossStripeGroup(cl.Group, cl.EngFor(from), cl.EngFor(to), atm.StripeWidth, lc)
-		} else {
-			g = atm.NewStripeGroup(cl.Eng, atm.StripeWidth, lc)
-		}
+		g := atm.NewCrossStripeGroup(cl.Group, cl.EngFor(from), cl.EngFor(to), atm.StripeWidth, lc)
 		cl.Nodes[from].Board.AttachTxLinks(g.Links())
 		cl.Nodes[to].Board.AttachRxLinks(g)
 		return g

@@ -122,34 +122,34 @@ func TestIncastPerCellParity(t *testing.T) {
 	}
 }
 
-// TestIncastAdaptiveMetricsGate checks the telemetry wiring: the
-// adaptive family appears only when Options.AdaptiveMetrics asks for
-// it, so legacy experiments keep their exact metric name set.
+// TestIncastAdaptiveMetricsGate checks the telemetry wiring: a node's
+// adaptive family joins the registry when its first adaptive session
+// opens, so an experiment that never opens one keeps its exact metric
+// name set.
 func TestIncastAdaptiveMetricsGate(t *testing.T) {
-	run := func(gate bool) *metrics.Registry {
+	run := func(adaptive bool) *metrics.Registry {
 		reg := metrics.New()
 		w := workload.FanIn{Clients: 2, MessageBytes: 4096, Messages: 2}
-		opt := Options{Metrics: reg, AdaptiveMetrics: gate, FabricQueueCells: 1024, FabricMarkThreshold: 128}
-		if _, err := RunIncastRDP(opt, IncastRDP{Workload: w, Adaptive: true}); err != nil {
+		opt := Options{Metrics: reg, FabricQueueCells: 1024, FabricMarkThreshold: 128}
+		if _, err := RunIncastRDP(opt, IncastRDP{Workload: w, Adaptive: adaptive}); err != nil {
 			t.Fatal(err)
 		}
 		return reg
 	}
 	has := func(reg *metrics.Registry, name string) bool {
-		for _, v := range reg.Snapshot(false) {
-			if v.Name == name {
-				return true
-			}
-		}
-		return false
+		_, ok := reg.Get(name)
+		return ok
 	}
 	on, off := run(true), run(false)
-	for _, name := range []string{"n1/rdp/fast_retx", "n1/rdp/ecn_echoed", "n1/rdp/rtt_samples"} {
+	for _, name := range []string{"n1/rdp/fast_retx", "n1/rdp/ecn_echoed", "n1/rdp/rtt_samples", "n1/rdp/rtt_us"} {
 		if !has(on, name) {
-			t.Errorf("AdaptiveMetrics on: %s missing", name)
+			t.Errorf("adaptive incast: %s missing", name)
 		}
 		if has(off, name) {
-			t.Errorf("AdaptiveMetrics off: %s present — legacy snapshots grow new names", name)
+			t.Errorf("non-adaptive incast: %s present — snapshots of non-adaptive runs grow new names", name)
 		}
+	}
+	if !has(off, "n1/rdp/retransmits") {
+		t.Error("non-adaptive incast: n1/rdp/retransmits missing")
 	}
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/atm"
 	"repro/internal/metrics"
-	"repro/internal/proto"
 	"repro/internal/sim"
 )
 
@@ -29,16 +27,16 @@ type ShardPlan struct {
 // clusterPlan partitions an n-node switched cluster over up to
 // requested shards: the fabric alone on shard 0, node i on shard
 // 1 + i mod (k-1). requested is clamped to n+1 (more shards than
-// components would leave engines permanently idle). Callers ensure
-// requested ≥ 2.
+// components would leave engines permanently idle); a request of 1 or
+// less puts everything on one shard.
 func clusterPlan(requested, nodes int) ShardPlan {
-	k := requested
-	if max := nodes + 1; k > max {
-		k = max
+	p := ShardPlan{Shards: 1, FabricShard: 0, NodeShard: make([]int, nodes)}
+	if requested <= 1 {
+		return p
 	}
-	p := ShardPlan{Shards: k, FabricShard: 0, NodeShard: make([]int, nodes)}
+	p.Shards = min(requested, nodes+1)
 	for i := range p.NodeShard {
-		p.NodeShard[i] = 1 + i%(k-1)
+		p.NodeShard[i] = 1 + i%(p.Shards-1)
 	}
 	return p
 }
@@ -46,33 +44,19 @@ func clusterPlan(requested, nodes int) ShardPlan {
 // testbedPlan partitions the two-node back-to-back testbed: host A on
 // shard 0, host B on shard 1. There is no fabric, so two shards is
 // always the whole plan; any higher request clamps to 2.
-func testbedPlan() ShardPlan {
-	return ShardPlan{Shards: 2, FabricShard: -1, NodeShard: []int{0, 1}}
-}
-
-// checkShardable refuses configurations whose per-cell randomness is
-// drawn from the shared engine RNG: that stream is consumed in delivery
-// order, which depends on the partition, so no shard layout can
-// reproduce the serial draws. The deterministic fault plane
-// (Link.Fault) is fine — injectors draw from site-derived streams.
-func checkShardable(opt Options) {
-	if opt.Link.DrawsEngineRand() {
-		panic(fmt.Sprintf("core: Shards=%d is incompatible with a link config that draws from the shared engine RNG per cell (LossRate=%v, Skew=%T); run with Shards=1 or express the randomness as a fault injector (Link.Fault)", opt.Shards, opt.Link.LossRate, opt.Link.Skew))
+func testbedPlan(requested int) ShardPlan {
+	if requested <= 1 {
+		return ShardPlan{Shards: 1, FabricShard: -1, NodeShard: []int{0, 0}}
 	}
+	return ShardPlan{Shards: 2, FabricShard: -1, NodeShard: []int{0, 1}}
 }
 
 // Plan reports how the cluster's components were mapped onto shards
 // (Shards == 1 for a serial cluster).
 func (cl *Cluster) Plan() ShardPlan { return cl.plan }
 
-// EngFor returns the engine node i runs on (the single engine for a
-// serial cluster).
-func (cl *Cluster) EngFor(node int) *sim.Engine {
-	if cl.Group == nil {
-		return cl.Eng
-	}
-	return cl.engs[node]
-}
+// EngFor returns the engine node i runs on.
+func (cl *Cluster) EngFor(node int) *sim.Engine { return cl.engs[node] }
 
 // Go spawns a simulated process on node i's engine. Experiment drivers
 // must place each proc on the shard of the node whose state it touches;
@@ -81,83 +65,26 @@ func (cl *Cluster) Go(node int, name string, fn func(p *sim.Proc)) *sim.Proc {
 	return cl.EngFor(node).Go(name, fn)
 }
 
-// Run executes the simulation to quiescence — Engine.Run for a serial
+// Run executes the simulation to quiescence — inline for a 1-shard
 // cluster, the conservative window loop for a sharded one — and returns
 // the virtual time reached.
-func (cl *Cluster) Run() sim.Time {
-	if cl.Group == nil {
-		return cl.Eng.Run()
-	}
-	return cl.Group.Run()
-}
+func (cl *Cluster) Run() sim.Time { return cl.Group.Run() }
 
 // RunUntil executes until the virtual clock would pass t.
-func (cl *Cluster) RunUntil(t sim.Time) sim.Time {
-	if cl.Group == nil {
-		return cl.Eng.RunUntil(t)
-	}
-	return cl.Group.RunUntil(t)
-}
+func (cl *Cluster) RunUntil(t sim.Time) sim.Time { return cl.Group.RunUntil(t) }
 
 // Now returns the current virtual time (the latest shard clock, for a
 // sharded cluster).
-func (cl *Cluster) Now() sim.Time {
-	if cl.Group == nil {
-		return cl.Eng.Now()
-	}
-	return cl.Group.Now()
-}
+func (cl *Cluster) Now() sim.Time { return cl.Group.Now() }
 
 // Events returns the cumulative executed-event count across the whole
 // simulation — the denominator for events/sec measurements.
-func (cl *Cluster) Events() uint64 {
-	if cl.Group == nil {
-		return cl.Eng.Events()
-	}
-	return cl.Group.Events()
-}
+func (cl *Cluster) Events() uint64 { return cl.Group.Events() }
 
 // DerivedSites returns every DeriveRand site name the simulation has
 // derived, sorted — identical across shard counts by construction, and
 // pinned so by the partition-independence regression tests.
-func (cl *Cluster) DerivedSites() []string {
-	if cl.Group == nil {
-		return cl.Eng.DerivedSites()
-	}
-	return cl.Group.DerivedSites()
-}
-
-// buildShardedCluster assembles the n-node switched topology across a
-// shard group according to plan, wiring every node to the fabric with
-// cross-shard stripe groups.
-func buildShardedCluster(opt Options, n int, plan ShardPlan) *Cluster {
-	g := sim.NewShardGroup(opt.Seed, plan.Shards)
-	cl := &Cluster{Group: g, Opt: opt, plan: plan}
-	width := opt.Board.StripeWidth
-	if width == 0 {
-		width = atm.StripeWidth
-	}
-	cl.engs = make([]*sim.Engine, n)
-	for i := 0; i < n; i++ {
-		cl.engs[i] = g.Engine(plan.NodeShard[i])
-		cl.Nodes = append(cl.Nodes, buildNode(cl.engs[i], opt, fmt.Sprintf("n%d", i), proto.HostAddr(i+1)))
-	}
-	cl.Fabric = atm.NewShardedSwitch(g, g.Engine(plan.FabricShard), cl.engs, atm.SwitchConfig{
-		Width:         width,
-		Link:          opt.Link,
-		QueueCells:    opt.FabricQueueCells,
-		MarkThreshold: opt.FabricMarkThreshold,
-		PerCellFabric: opt.PerCellFabric,
-	})
-	for i, nd := range cl.Nodes {
-		pt := cl.Fabric.Port(i)
-		nd.Board.AttachTxLinks(pt.Ingress().Links())
-		nd.Board.AttachRxLinks(pt.Egress())
-	}
-	cl.Fabric.RegisterMetrics(opt.Metrics, "fabric")
-	cl.registerEngineDiag()
-	return cl
-}
+func (cl *Cluster) DerivedSites() []string { return cl.Group.DerivedSites() }
 
 // registerEngineDiag registers the execution substrate's telemetry.
 // Every metric here is diagnostic (SampleDiag): event counts depend on
@@ -167,11 +94,6 @@ func buildShardedCluster(opt Options, n int, plan ShardPlan) *Cluster {
 func (cl *Cluster) registerEngineDiag() {
 	r := cl.Opt.Metrics
 	if r == nil {
-		return
-	}
-	if cl.Group == nil {
-		e := cl.Eng
-		r.SampleDiag("engine/events", metrics.KindCounter, func() int64 { return int64(e.Events()) })
 		return
 	}
 	g := cl.Group

@@ -199,11 +199,9 @@ func RunTenants(opt Options, w Tenants) (*TenantsResult, error) {
 		fbuf.NewDomain(hB, "tenants-app2"),
 		fbuf.NewDomain(hB, "tenants-app3"),
 	}
-	if opt.Metrics != nil && opt.ADCMetrics {
-		mgA.RegisterMetrics(opt.Metrics, "tenantsA/adc")
-		mgB.RegisterMetrics(opt.Metrics, "tenantsB/adc")
-		fbm.RegisterChurnMetrics(opt.Metrics, "tenantsB/fbuf")
-	}
+	mgA.RegisterMetrics(opt.Metrics, "tenantsA/adc")
+	mgB.RegisterMetrics(opt.Metrics, "tenantsB/adc")
+	fbm.RegisterChurnMetrics(opt.Metrics, "tenantsB/fbuf")
 
 	appA := adc.NewAppDomain(hA, "tenantsA-app")
 	appB := adc.NewAppDomain(hB, "tenantsB-app")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fbuf"
+	"repro/internal/metrics"
 )
 
 // TestTenantsSteadyDelivery runs a modest steady multi-tenant workload
@@ -141,5 +142,33 @@ func TestTenantsFbufMissesUnderChurn(t *testing.T) {
 	}
 	if res.FbufHits == 0 {
 		t.Fatal("no hits at all; even freshly defined paths missed")
+	}
+}
+
+// TestTenantsMetrics: with a registry, RunTenants registers the ADC and
+// fbuf churn families, and telemetry leaves the result unchanged.
+func TestTenantsMetrics(t *testing.T) {
+	cfg := Tenants{Tenants: 20, PDUs: 2, PDUBytes: 512, Churn: 5, FbufPaths: 8}
+	plain, err := RunTenants(Options{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	res, err := RunTenants(Options{Metrics: reg}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"tenantsA/adc/violations", "tenantsB/adc/virtual_adcs", "tenantsB/fbuf/demotions", "tenantsB/fbuf/cached_paths"} {
+		if _, ok := reg.Get(name); !ok {
+			t.Errorf("%s not registered", name)
+		}
+	}
+	if v, _ := reg.Get("tenantsB/fbuf/path_undefines"); v.Value == 0 {
+		t.Error("fbuf churn family read 0 undefines under path churn")
+	}
+	b1, _ := json.Marshal(plain)
+	b2, _ := json.Marshal(res)
+	if string(b1) != string(b2) {
+		t.Errorf("telemetry perturbed the result:\n off: %s\n on:  %s", b1, b2)
 	}
 }

@@ -225,9 +225,10 @@ func (m *Manager) RegisterMetrics(r *metrics.Registry, prefix string) {
 }
 
 // RegisterChurnMetrics registers the churn-plane family — demotions,
-// unmapped pages, undefines, and the live-pool gauge — as a separate,
-// caller-gated set (the AdaptiveMetrics idiom), so legacy snapshots
-// keep their metric name set byte-identical.
+// unmapped pages, undefines, and the live-pool gauge — as a separate
+// set, registered only by experiments that churn paths (RunTenants), so
+// snapshots of the others keep their metric name set byte-identical.
+// A nil registry is a no-op.
 func (m *Manager) RegisterChurnMetrics(r *metrics.Registry, prefix string) {
 	if r == nil {
 		return

@@ -30,8 +30,12 @@ type RDP struct {
 	ip    *IP
 	stats RDPStats
 
-	// Adaptive telemetry (RegisterAdaptiveMetrics): RTT sample sketch
-	// and the live adaptive sessions whose cwnd/ssthresh the gauges sum.
+	// Telemetry: the registry and prefix RegisterMetrics got, kept to
+	// register the adaptive family when the first adaptive session
+	// opens; the RTT sample sketch; and the live adaptive sessions whose
+	// cwnd/ssthresh the gauges sum.
+	mReg     *metrics.Registry
+	mPrefix  string
 	mRTT     *metrics.Sketch
 	adaptive []*rdpSession
 }
@@ -77,11 +81,14 @@ func (r *RDP) Stats() RDPStats { return r.stats }
 
 // RegisterMetrics registers RDP's counters as snapshot-time samples
 // under prefix — the retransmit/backoff visibility the telemetry
-// plane exists for. A nil registry is a no-op.
+// plane exists for. The adaptive family joins them under the same
+// prefix when the first adaptive session opens, so an experiment that
+// never opens one keeps its metric name set. A nil registry is a no-op.
 func (r *RDP) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
+	r.mReg, r.mPrefix = reg, prefix
 	s := &r.stats
 	reg.Sample(prefix+"/data_sent", metrics.KindCounter, func() int64 { return s.DataSent })
 	reg.Sample(prefix+"/retransmits", metrics.KindCounter, func() int64 { return s.Retransmits })
@@ -94,16 +101,14 @@ func (r *RDP) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Sample(prefix+"/failed", metrics.KindCounter, func() int64 { return s.Failed })
 }
 
-// RegisterAdaptiveMetrics registers the adaptive transport's telemetry
-// under prefix: the ECN/fast-retransmit counters, cwnd/ssthresh gauges
-// (summed in segments across live adaptive sessions), and the RTT
-// sample sketch. Kept separate from RegisterMetrics so experiments that
-// never open an adaptive session keep their exact metric name set (the
-// committed BENCH_metrics.json pins it). A nil registry is a no-op.
-func (r *RDP) RegisterAdaptiveMetrics(reg *metrics.Registry, prefix string) {
-	if reg == nil {
-		return
-	}
+// registerAdaptiveMetrics registers the adaptive transport's telemetry
+// under the RegisterMetrics prefix: the ECN/fast-retransmit counters,
+// cwnd/ssthresh gauges (summed in segments across live adaptive
+// sessions), and the RTT sample sketch. A registry is not synchronized,
+// so with shards sharing one, adaptive sessions must open before the
+// run starts, as the experiment drivers do.
+func (r *RDP) registerAdaptiveMetrics() {
+	reg, prefix := r.mReg, r.mPrefix
 	s := &r.stats
 	reg.Sample(prefix+"/fast_retx", metrics.KindCounter, func() int64 { return s.FastRetx })
 	reg.Sample(prefix+"/ecn_echoed", metrics.KindCounter, func() int64 { return s.EcnEchoed })
@@ -223,6 +228,9 @@ func (r *RDP) Open(addr any) (xkernel.Session, error) {
 		s.est = newRTTEstimator(a.RetransmitTimeout, a.MinRTO, a.MaxRTO)
 		s.cwnd = uint32(a.InitialCwnd) * cwndUnit
 		s.ssthresh = uint32(a.Window) * cwndUnit
+		if r.mReg != nil && len(r.adaptive) == 0 {
+			r.registerAdaptiveMetrics()
+		}
 		r.adaptive = append(r.adaptive, s)
 	}
 	lower.SetHandler(s.demux)

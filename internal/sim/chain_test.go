@@ -234,7 +234,7 @@ func TestChainPanicForwarded(t *testing.T) {
 				logf("c woke")
 			})
 		}
-		got := runRecovering(e)
+		got := runRecovering(e.Run)
 		if got != boom {
 			t.Fatalf("inBody %v: Run raised %v, want the original value", inBody, got)
 		}
@@ -244,7 +244,7 @@ func TestChainPanicForwarded(t *testing.T) {
 		if deferred["a"]+deferred["b"] != 0 || (!inBody && deferred["c"] != 0) {
 			t.Fatalf("inBody %v: deferred calls ran on the chain: %v", inBody, deferred)
 		}
-		if v := runRecovering(e); v != nil {
+		if v := runRecovering(e.Run); v != nil {
 			t.Fatalf("inBody %v: second Run panicked: %v", inBody, v)
 		}
 		want := "[1 a woke 1 c woke 2 b woke]"

@@ -22,9 +22,16 @@ import (
 //
 // Every random draw happens in simulated execution order, so the log
 // is a pure function of the seed: any change to which proc runs when,
-// or to which body a wakeup resumes, changes it.
-func procProgram(seed int64) []string {
+// or to which body a wakeup resumes, changes it. With inGroup the
+// program runs on the engine of a 1-shard ShardGroup, driven through
+// the group's Run and Shutdown.
+func procProgram(seed int64, inGroup bool) []string {
 	e := NewEngine(seed)
+	run, shutdown := e.Run, e.Shutdown
+	if inGroup {
+		g := NewShardGroup(seed, 1)
+		e, run, shutdown = g.Engine(0), g.Run, g.Shutdown
+	}
 	r := rand.New(rand.NewSource(seed))
 	cond := NewCond(e)
 	bus := NewResource(e, "bus")
@@ -151,32 +158,34 @@ func procProgram(seed int64) []string {
 	}
 	e.At(1, func() { tick(0) })
 	for {
-		v := runRecovering(e)
+		v := runRecovering(run)
 		if v == nil {
 			break
 		}
 		log = append(log, fmt.Sprintf("%d run panicked: %v", e.Now(), v))
 	}
 	shuttingDown = true
-	e.Shutdown()
+	shutdown()
 	sort.Strings(unwound)
 	log = append(log, fmt.Sprintf("end %d events %d spawned %d killed %v", e.Now(), e.Events(), spawned, unwound))
 	return log
 }
 
-// runRecovering runs e and returns the value of a panic that escaped
-// Run, or nil once the queue drains.
-func runRecovering(e *Engine) (v any) {
+// runRecovering calls run (an Engine's or a ShardGroup's Run) and
+// returns the value of a panic that escaped it, or nil once the queue
+// drains.
+func runRecovering(run func() Time) (v any) {
 	defer func() { v = recover() }()
-	e.Run()
+	run()
 	return nil
 }
 
 // TestProcProgramGolden pins the step log of procProgram for three
-// seeds. The hashes were recorded with the goroutine-per-proc engine
-// that preceded pooled coroutines, so they prove that reusing a
-// finished proc for a later spawn never lets a stale wakeup resume the
-// wrong body and never reorders a step.
+// seeds, on a standalone engine and on a 1-shard ShardGroup. The hashes
+// were recorded with the goroutine-per-proc engine that preceded pooled
+// coroutines, so they prove that reusing a finished proc for a later
+// spawn never lets a stale wakeup resume the wrong body and never
+// reorders a step, and that a 1-shard group is the standalone engine.
 func TestProcProgramGolden(t *testing.T) {
 	golden := map[int64]string{
 		1: "147adc8889f14233597f41654ce03b97f70f264f0d290c7aa7e3ebaabb5dbe2c",
@@ -184,11 +193,16 @@ func TestProcProgramGolden(t *testing.T) {
 		3: "a7ec5f60558d61b4d5e9eca37b33d42fe6186a310d5ac4ac13a74e8cda26fdcc",
 	}
 	for seed, want := range golden {
-		log := procProgram(seed)
+		log := procProgram(seed, false)
 		sum := sha256.Sum256([]byte(strings.Join(log, "\n")))
 		got := hex.EncodeToString(sum[:])
 		if got != want {
 			t.Errorf("seed %d: log hash %s, want %s (%d lines; tail %q)", seed, got, want, len(log), log[len(log)-1])
+		}
+		glog := procProgram(seed, true)
+		gsum := sha256.Sum256([]byte(strings.Join(glog, "\n")))
+		if got := hex.EncodeToString(gsum[:]); got != want {
+			t.Errorf("seed %d on a 1-shard group: log hash %s, want %s (%d lines; tail %q)", seed, got, want, len(glog), glog[len(glog)-1])
 		}
 		for _, must := range []string{" panic", " wait", " spawn", " spawn-later", " send ", " got ", " held", " sleep 0s", "run panicked"} {
 			if !strings.Contains(strings.Join(log, "\n"), must) {

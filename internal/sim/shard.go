@@ -28,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -94,11 +95,12 @@ func (g *ShardGroup) Size() int { return len(g.engines) }
 // Engine returns shard i's engine.
 func (g *ShardGroup) Engine(i int) *Engine { return g.engines[i] }
 
-// NextXID hands out the next cross-shard channel id (1, 2, 3, …).
-// Channel ids are assigned in topology-construction order, which is a
-// function of the topology alone — the same construction sequence runs
-// at every shard count — so they are stable, partition-independent
-// tie-breakers in the canonical event order.
+// NextXID hands out the next channel id (1, 2, 3, …); member engines'
+// Engine.NextXID draws from it. Channel ids are assigned in
+// topology-construction order, which is a function of the topology
+// alone — the same construction sequence runs at every shard count —
+// so they are stable, partition-independent tie-breakers in the
+// canonical event order.
 func (g *ShardGroup) NextXID() uint64 {
 	g.nextXID++
 	return g.nextXID
@@ -156,18 +158,8 @@ func (g *ShardGroup) DerivedSites() []string {
 	for s := range g.sites {
 		out = append(out, s)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-// sortStrings is sort.Strings without dragging the import into the hot
-// file twice (kept tiny and obvious).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // shardWorker is one shard's persistent executor goroutine. Workers
@@ -213,7 +205,11 @@ func (g *ShardGroup) startWorkers() {
 // engine clock. The serial-equivalence contract: every event fires at
 // the same virtual time, with the same canonical order among equal
 // times, as it would on a single engine simulating the whole topology.
+// A 1-shard group runs its engine inline: no worker, no windows.
 func (g *ShardGroup) Run() Time {
+	if e := g.inline(); e != nil {
+		return e.Run()
+	}
 	return g.run(maxTime)
 }
 
@@ -221,6 +217,9 @@ func (g *ShardGroup) Run() Time {
 // then advances every shard's clock to t (the Engine.RunUntil
 // contract, applied group-wide).
 func (g *ShardGroup) RunUntil(t Time) Time {
+	if e := g.inline(); e != nil {
+		return e.RunUntil(t)
+	}
 	g.run(t)
 	for _, e := range g.engines {
 		e.advanceTo(t)
@@ -228,10 +227,19 @@ func (g *ShardGroup) RunUntil(t Time) Time {
 	return t
 }
 
-func (g *ShardGroup) run(horizon Time) Time {
+// inline returns the lone engine of a 1-shard group, which runs on the
+// caller's goroutine, or nil for a group that needs windows.
+func (g *ShardGroup) inline() *Engine {
 	if g.down {
 		panic("sim: ShardGroup run after Shutdown")
 	}
+	if len(g.engines) == 1 {
+		return g.engines[0]
+	}
+	return nil
+}
+
+func (g *ShardGroup) run(horizon Time) Time {
 	g.startWorkers()
 	for {
 		// Earliest pending work anywhere. Cross-shard channels are always

@@ -275,3 +275,49 @@ func TestSingleEngineOrderUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestOneShardGroupRunsInline: a 1-shard group runs its engine
+// directly — no windows — and keeps Engine.RunUntil's horizon and
+// clock contract.
+func TestOneShardGroupRunsInline(t *testing.T) {
+	g := NewShardGroup(1, 1)
+	defer g.Shutdown()
+	e := g.Engine(0)
+	var ran []Time
+	for _, at := range []Time{100, 200, 9000} {
+		e.At(at, func() { ran = append(ran, e.Now()) })
+	}
+	e.Go("sleeper", func(p *Proc) { p.Sleep(300) })
+	if now := g.RunUntil(5000); now != 5000 || e.Now() != 5000 {
+		t.Errorf("RunUntil(5000) returned %v with the clock at %v", now, e.Now())
+	}
+	if len(ran) != 2 || g.Pending() != 1 {
+		t.Errorf("ran %v with %d pending, want the two events before the horizon", ran, g.Pending())
+	}
+	if w := g.Stats().Windows; w != 0 {
+		t.Errorf("RunUntil took %d windows, want 0", w)
+	}
+	if now := g.Run(); now != 9000 || len(ran) != 3 {
+		t.Errorf("Run returned %v after %v", now, ran)
+	}
+	if w := g.Stats().Windows; w != 0 {
+		t.Errorf("Run took %d windows, want 0", w)
+	}
+}
+
+// TestNextXID: channel ids count from 1 in construction order, per
+// standalone engine, and across a group's shards from one counter.
+func TestNextXID(t *testing.T) {
+	e := NewEngine(1)
+	if a, b := e.NextXID(), e.NextXID(); a != 1 || b != 2 {
+		t.Errorf("standalone engine ids %d, %d, want 1, 2", a, b)
+	}
+	g := NewShardGroup(1, 2)
+	defer g.Shutdown()
+	got := []uint64{g.Engine(1).NextXID(), g.Engine(0).NextXID(), g.NextXID(), g.Engine(1).NextXID()}
+	for i, id := range got {
+		if id != uint64(i+1) {
+			t.Fatalf("group ids %v, want 1, 2, 3, 4", got)
+		}
+	}
+}

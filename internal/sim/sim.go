@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -62,14 +61,13 @@ func (t Time) String() string { return time.Duration(t).String() }
 type eventNode struct {
 	at Time
 	// schedAt is the virtual instant the event was scheduled at, and xid
-	// identifies the scheduling source: 0 for events scheduled by this
-	// engine's own activities, a stable cross-shard channel id for events
-	// injected by another shard. Together with seq they form the
-	// canonical execution order (at, schedAt, xid, seq). For a standalone
-	// engine seq is assigned in scheduling order and schedAt is
-	// nondecreasing in it, so the refined order coincides exactly with
-	// the historical (at, seq) order; the extra keys matter only when
-	// shards merge event streams.
+	// identifies the scheduling source: 0 for events scheduled through
+	// At/AtCall/wake, a stable channel id (Engine.NextXID) for events
+	// stamped with InjectStamped — link deliveries, on one engine or
+	// across shards. Together with seq they form the canonical execution
+	// order (at, schedAt, xid, seq). Among xid-0 events seq is assigned
+	// in scheduling order and schedAt is nondecreasing in it, so they
+	// keep the historical (at, seq) order.
 	schedAt      Time
 	xid          uint64
 	seq          uint64
@@ -132,9 +130,9 @@ type Engine struct {
 	// nil for a standalone engine).
 	shard int
 	group *ShardGroup
-	// sites records every DeriveRand site name, for the collision and
-	// partition-independence regression checks.
-	sites map[string]int
+	// nextXID numbers a standalone engine's channels (NextXID); a shard
+	// uses its group's counter instead.
+	nextXID uint64
 }
 
 // NewEngine returns an engine with its virtual clock at zero and its
@@ -161,10 +159,6 @@ func (e *Engine) Seed() int64 { return e.seed }
 // injection site leaves every other site's draws — and therefore the
 // rest of the simulation — bit-for-bit unchanged.
 func (e *Engine) DeriveRand(site string) *rand.Rand {
-	if e.sites == nil {
-		e.sites = make(map[string]int)
-	}
-	e.sites[site]++
 	if e.group != nil {
 		e.group.registerSite(site, e.shard)
 	}
@@ -176,24 +170,17 @@ func (e *Engine) DeriveRand(site string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
-// DerivedSites returns every site name DeriveRand has been called with
-// on this engine, sorted. The derived stream is a pure function of
-// (seed, site) — never of the engine identity — so a partitioned
-// topology reproduces the serial run's streams exactly as long as the
-// site set is collision-free and partition-independent; this accessor
-// exists for the regression tests that pin both properties.
-func (e *Engine) DerivedSites() []string {
-	out := make([]string, 0, len(e.sites))
-	for s := range e.sites {
-		out = append(out, s)
+// NextXID hands out the next channel id (1, 2, 3, …) for events
+// scheduled with InjectStamped. A shard draws from its group's counter,
+// so ids follow topology-construction order across the whole group and
+// a channel gets the same id whichever shard builds it.
+func (e *Engine) NextXID() uint64 {
+	if e.group != nil {
+		return e.group.NextXID()
 	}
-	sort.Strings(out)
-	return out
+	e.nextXID++
+	return e.nextXID
 }
-
-// Shard returns the engine's index within its ShardGroup (0 for a
-// standalone engine).
-func (e *Engine) Shard() int { return e.shard }
 
 // SetTracer installs a trace callback invoked by Tracef. A nil tracer
 // disables tracing.
@@ -254,10 +241,9 @@ func (e *Engine) Emit(ev TraceEvent) {
 
 // less orders the heap by the canonical key (at, schedAt, xid, seq):
 // fire time first, then scheduling time, then scheduling source, then
-// per-source insertion order. For a standalone engine every event has
-// xid 0 and seq increases with schedAt, so this is exactly the
-// historical (at, seq) order; the refinement gives cross-shard merges a
-// partition-independent tie-break.
+// per-source insertion order. Among locally scheduled events (xid 0)
+// this is exactly the historical (at, seq) order; stamped events
+// tie-break by channel id, which does not depend on the partition.
 func (e *Engine) less(i, j int) bool {
 	a, b := e.pq[i], e.pq[j]
 	if a.at != b.at {
@@ -378,13 +364,13 @@ func (e *Engine) wake(t Time, p *Proc) {
 
 // InjectStamped schedules cb(arg) at instant t carrying an explicit
 // canonical-order stamp (schedAt, xid, seq) instead of this engine's
-// own scheduling stamp. It is the cross-shard delivery primitive: a
-// sending shard computes the stamp its scheduling call would have
-// produced in a serial run, and the receiving shard merges the event
-// into its queue in exactly that position. xid must be a non-zero,
-// topology-stable channel id (0 is reserved for locally scheduled
-// events); seq need only be monotone per xid. The engine's own seq
-// counter is not consumed, so injection leaves local stamps untouched.
+// own scheduling stamp. It is the link delivery primitive: the sender
+// computes the stamp and the receiving engine — the same one, or
+// another shard at a barrier — queues the event in exactly that
+// position. xid must be a non-zero, topology-stable channel id from
+// NextXID (0 is reserved for locally scheduled events); seq need only
+// be monotone per xid. The engine's own seq counter is not consumed, so
+// injection leaves local stamps untouched.
 //
 // Call it only from the receiving engine's own event context, or while
 // the engine is not running (the shard barrier).
