@@ -384,8 +384,8 @@ func (sw *Switch) forward(inPort int, c Cell, lane int) {
 	}
 	if !ok {
 		ip.stats.NoRoute++
-		if sw.eng.Tracing() {
-			sw.eng.Tracef("drop: switch no route vci=%d in-port=%d", c.VCI, inPort)
+		if sw.eng.Recording() {
+			sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'i', Comp: ip.comp, Cat: "drop", Name: "no-route", VCI: uint32(c.VCI)})
 		}
 		return
 	}
@@ -436,11 +436,8 @@ func (sw *Switch) enqueue(op *SwitchPort, lc laneCell) {
 	}
 	if !op.queue.TrySend(lc) {
 		op.stats.Dropped++
-		if sw.eng.Tracing() {
-			sw.eng.Tracef("drop: switch port %d queue overflow vci=%d", op.index, lc.c.VCI)
-		}
 		if sw.eng.Recording() {
-			sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'i', Comp: op.comp, Cat: "drop", Name: "queue-overflow", Arg: int64(lc.c.VCI)})
+			sw.eng.Emit(sim.TraceEvent{At: sw.eng.Now(), Ph: 'i', Comp: op.comp, Cat: "drop", Name: "queue-overflow", VCI: uint32(lc.c.VCI)})
 		}
 		return
 	}
@@ -458,12 +455,12 @@ func (sw *Switch) enqueue(op *SwitchPort, lc laneCell) {
 // latchMode decides, once per port, whether cells routed to this port
 // take the train-forwarding fast path or the per-cell queue machine.
 // Anything that observes or perturbs cells one at a time — an
-// output-side fault injector, debug tracing, trace recording, or an
-// egress link that draws randomness per cell — forces per-cell mode;
-// so does the explicit PerCellFabric knob.
+// output-side fault injector, a trace recorder, or an egress link
+// that draws randomness per cell — forces per-cell mode; so does the
+// explicit PerCellFabric knob.
 func (pt *SwitchPort) latchMode(forcePerCell bool) {
 	pt.vMode = vModePerCell
-	if forcePerCell || pt.inj != nil || pt.eng.Tracing() || pt.eng.Recording() {
+	if forcePerCell || pt.inj != nil || pt.eng.Recording() {
 		return
 	}
 	for _, l := range pt.out.links {

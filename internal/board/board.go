@@ -405,9 +405,11 @@ type Board struct {
 	mReasmOpen *metrics.HighWater
 	mReasmSpan *metrics.Sketch
 
-	// Trace track labels, precomputed so Emit never concatenates.
-	trkRx string
-	trkTx string
+	// Trace track labels, precomputed so Emit never concatenates:
+	// receive side, transmit side, and one per transmit link.
+	trkRx     string
+	trkTx     string
+	trkTxLink []string
 }
 
 // getSegs takes a recycled extent slice (or makes one).
@@ -472,6 +474,9 @@ func New(e *sim.Engine, h *hostsim.Host, cfg Config) *Board {
 		trkRx:  cfg.Name + "-rx",
 		trkTx:  cfg.Name + "-tx",
 		txPool: atm.NewPayloadPool(),
+	}
+	for i := 0; i < cfg.StripeWidth; i++ {
+		b.trkTxLink = append(b.trkTxLink, fmt.Sprintf("%s-tx%d", cfg.Name, i))
 	}
 	b.rxInj = fault.New(e, cfg.Name+"/rx", cfg.RxFault)
 	for i := 0; i < NumChannels; i++ {
@@ -658,11 +663,8 @@ func (b *Board) enterRxFIFO(rc rxCell) {
 			if ch.fifoCells >= q {
 				ch.quotaDropped++
 				b.stats.CellsQuotaDropped++
-				if b.eng.Tracing() {
-					b.eng.Tracef("drop: %s rx FIFO quota ch%d vci=%d", b.cfg.Name, ch.Index, rc.c.VCI)
-				}
 				if b.eng.Recording() {
-					b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "rx-fifo-quota", Arg: int64(rc.c.VCI)})
+					b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "rx-fifo-quota", VCI: uint32(rc.c.VCI), Arg: int64(ch.Index)})
 				}
 				return
 			}
@@ -671,11 +673,8 @@ func (b *Board) enterRxFIFO(rc rxCell) {
 	}
 	if !b.rxFIFO.TrySend(rc) {
 		b.stats.CellsDroppedFIFO++
-		if b.eng.Tracing() {
-			b.eng.Tracef("drop: %s rx FIFO overflow vci=%d", b.cfg.Name, rc.c.VCI)
-		}
 		if b.eng.Recording() {
-			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "rx-fifo-overflow", Arg: int64(rc.c.VCI)})
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "rx-fifo-overflow", VCI: uint32(rc.c.VCI)})
 		}
 		return
 	}
@@ -827,8 +826,8 @@ func (b *Board) authorized(ch *Channel, d queue.Desc) bool {
 
 func (b *Board) violation(ch *Channel, vci atm.VCI) {
 	b.stats.Violations++
-	if b.eng.Tracing() {
-		b.eng.Tracef("drop: %s authorization violation ch%d vci=%d", b.cfg.Name, ch.Index, vci)
+	if b.eng.Recording() {
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "auth-violation", VCI: uint32(vci), Arg: int64(ch.Index)})
 	}
 	if b.vioHook != nil {
 		b.vioHook(ch.Index, vci)
@@ -911,11 +910,8 @@ func (b *Board) timeoutReasm(ch *Channel, rs *reasmState) bool {
 	ch.stash = append(ch.stash, scratch...)
 	b.stats.ScratchRecycled += int64(len(scratch))
 	b.stats.PDUsTimedOut++
-	if b.eng.Tracing() {
-		b.eng.Tracef("drop: %s reassembly timeout vci=%d received=%d", b.cfg.Name, rs.vci, rs.received)
-	}
 	if b.eng.Recording() {
-		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "reasm-timeout", Arg: int64(rs.vci)})
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "reasm-timeout", VCI: uint32(rs.vci), Arg: int64(rs.received)})
 	}
 	delete(ch.reasm, rs.vci)
 	b.releaseShadow(rs)
@@ -995,9 +991,6 @@ func (b *Board) pushRecvDesc(p *sim.Proc, ch *Channel, d queue.Desc) {
 func (b *Board) recvPushIRQ(ch *Channel, wasEmpty bool) {
 	if b.cfg.InterruptPerPDU || wasEmpty {
 		b.stats.RxIRQs++
-		if b.eng.Tracing() {
-			b.eng.Tracef("irq: %s rx ch%d", b.cfg.Name, ch.Index)
-		}
 		if b.eng.Recording() {
 			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "irq", Name: "rx-irq", Arg: int64(ch.Index)})
 		}
@@ -1086,11 +1079,8 @@ func (b *Board) dropRecvDesc(ch *Channel, d queue.Desc) {
 		ch.stash = append(ch.stash, queue.Desc{Addr: d.Addr, Len: d.Len})
 		b.stats.ScratchRecycled++
 	}
-	if b.eng.Tracing() {
-		b.eng.Tracef("drop: %s recv ring full ch%d vci=%d", b.cfg.Name, ch.Index, d.VCI)
-	}
 	if b.eng.Recording() {
-		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "recv-ring-drop", Arg: int64(ch.Index)})
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "recv-ring-drop", VCI: uint32(d.VCI), Arg: int64(ch.Index)})
 	}
 }
 

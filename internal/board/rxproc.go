@@ -107,8 +107,8 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 
 	if b.cfg.RejectDuplicates && rs.duplicate(b.cfg.Strategy, rc) {
 		b.stats.CellsDuplicate++
-		if b.eng.Tracing() {
-			b.eng.Tracef("drop: %s duplicate cell vci=%d seq=%d", b.cfg.Name, rc.c.VCI, rc.c.Seq)
+		if b.eng.Recording() {
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "dup-cell", VCI: uint32(rc.c.VCI), Arg: int64(rc.c.Seq)})
 		}
 		return
 	}
@@ -202,18 +202,20 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 		b.putRxData(data)
 		b.putSegs(segs)
 		b.stats.PDUsCRCDropped++
-		if b.eng.Tracing() {
-			b.eng.Tracef("drop: %s rx CRC mismatch vci=%d len=%d", b.cfg.Name, rc.c.VCI, rs.pduLen)
+		if b.eng.Recording() {
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "crc-mismatch", VCI: uint32(rc.c.VCI), Arg: int64(rs.pduLen)})
 		}
 		b.finishRxPDU(p, ch, rs, false)
 		return
 	}
 
 	cmd := rxCmd{ch: ch, segs: segs, data: data, combined: combined}
-	if complete && b.eng.Tracing() {
-		b.eng.Tracef("pdu: %s rx complete vci=%d len=%d", b.cfg.Name, rc.c.VCI, rs.pduLen)
-	}
 	if complete {
+		// rx-complete is its own instant: ensureEOPBuffer may block
+		// before the reasm span below ends.
+		if b.eng.Recording() {
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "pdu", Name: "rx-complete", VCI: uint32(rc.c.VCI), Arg: int64(rs.pduLen)})
+		}
 		b.ensureEOPBuffer(p, ch, rs)
 		pushes, scratch := rs.duePushes(true)
 		ch.stash = append(ch.stash, scratch...)
@@ -224,7 +226,7 @@ func (b *Board) handleCell(p *sim.Proc, rc rxCell) {
 			b.mReasmSpan.Observe((b.eng.Now() - rs.firstArrival).Microseconds())
 		}
 		if b.eng.Recording() {
-			b.eng.Emit(sim.TraceEvent{At: rs.firstArrival, Dur: b.eng.Now() - rs.firstArrival, Ph: 'X', Comp: b.trkRx, Cat: "pdu", Name: "reasm", Arg: int64(rs.pduLen)})
+			b.eng.Emit(sim.TraceEvent{At: rs.firstArrival, Dur: b.eng.Now() - rs.firstArrival, Ph: 'X', Comp: b.trkRx, Cat: "pdu", Name: "reasm", VCI: uint32(rc.c.VCI), Arg: int64(rs.pduLen)})
 		}
 		delete(ch.reasm, rc.c.VCI)
 		b.releaseShadow(rs)
@@ -262,8 +264,8 @@ func (b *Board) finishRxPDU(p *sim.Proc, ch *Channel, rs *reasmState, delivered 
 	b.stats.ScratchRecycled += int64(len(scratch))
 	if !delivered {
 		b.stats.PDUsDropped++
-		if b.eng.Tracing() {
-			b.eng.Tracef("drop: %s PDU abandoned vci=%d received=%d", b.cfg.Name, rs.vci, rs.received)
+		if b.eng.Recording() {
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkRx, Cat: "drop", Name: "pdu-abandoned", VCI: uint32(rs.vci), Arg: int64(rs.received)})
 		}
 	}
 	delete(ch.reasm, rs.vci)

@@ -203,8 +203,8 @@ func (b *Board) gather(p *sim.Proc, ch *Channel) bool {
 		return b.gather(p, ch)
 	}
 	st.active = true
-	if b.eng.Tracing() {
-		b.eng.Tracef("pdu: %s tx start vci=%d descs=%d", b.cfg.Name, st.descs[0].VCI, len(st.descs))
+	if b.eng.Recording() {
+		b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkTx, Cat: "pdu", Name: "tx-start", VCI: uint32(st.descs[0].VCI), Arg: int64(len(st.descs))})
 	}
 	st.vci = st.descs[0].VCI
 	st.pduLen = 0
@@ -407,8 +407,8 @@ func (b *Board) txDMAEngine(p *sim.Proc) {
 		}
 		copy(cell.Payload[:], payload[:cellLen])
 		b.stats.CellsTx++
-		if b.eng.Tracing() {
-			b.eng.Tracef("cell: %s tx vci=%d link=%d len=%d", b.cfg.Name, cell.VCI, cmd.linkIdx, cell.Len)
+		if b.eng.Recording() {
+			b.eng.Emit(sim.TraceEvent{At: b.eng.Now(), Ph: 'i', Comp: b.trkTxLink[cmd.linkIdx], Cat: "cell", Name: "tx", VCI: uint32(cell.VCI), Arg: int64(cell.Len)})
 		}
 		b.deliverCell(p, cell, cmd.linkIdx)
 		b.txPool.Put(hnd) // free on delivery

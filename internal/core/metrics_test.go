@@ -30,11 +30,7 @@ func runInstrumentedFanIn(t *testing.T, shards int, reg *metrics.Registry, tl *t
 		// Typed tracing on every shard's engine: the invariant under
 		// test is that recording changes nothing the experiment reports.
 		for i := 0; i < cl.Plan().Shards; i++ {
-			if cl.Group != nil {
-				tl.Attach(cl.Group.Engine(i), "shard")
-			} else {
-				tl.Attach(cl.Eng, "cluster")
-			}
+			tl.Attach(cl.Group.Engine(i), "shard")
 		}
 	}
 	res, err := cl.RunFanIn(pacedFanIn())

@@ -171,6 +171,7 @@ type Driver struct {
 	b    *board.Board
 	ch   *board.Channel
 	cfg  Config
+	trk  string // trace track ("<host>-ch<n>"), precomputed for Emit
 
 	paths map[atm.VCI]*Path
 
@@ -231,6 +232,7 @@ func New(e *sim.Engine, h *hostsim.Host, b *board.Board, cfg Config) *Driver {
 		b:        b,
 		ch:       b.Channel(cfg.ChannelIndex),
 		cfg:      cfg,
+		trk:      fmt.Sprintf("%s-ch%d", b.Config().Name, cfg.ChannelIndex),
 		paths:    make(map[atm.VCI]*Path),
 		byPA:     make(map[mem.PhysAddr]*rxBuffer, total),
 		bufSlab:  make([]rxBuffer, 0, total),
@@ -448,8 +450,8 @@ func (d *Driver) Send(p *sim.Proc, pt *Path, m *msg.Message, onComplete func(p *
 				continue
 			}
 			d.stats.TxStalls++
-			if d.host.Eng.Tracing() {
-				d.host.Eng.Tracef("drv: ch%d tx ring full, arming notify", d.cfg.ChannelIndex)
+			if eng := d.host.Eng; eng.Recording() {
+				eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: d.trk, Cat: "drv", Name: "tx-ring-full"})
 			}
 			d.b.DPM.WriteWord(p, dpm.Host, d.ch.NotifyFlagOff(), 1)
 			d.b.KickTx()
@@ -563,8 +565,8 @@ func (d *Driver) rxThread(p *sim.Proc) {
 // handler invocation for a PDU the board could not finish.
 func (d *Driver) abortPartial(vci atm.VCI) {
 	d.stats.RxAborted++
-	if d.host.Eng.Tracing() {
-		d.host.Eng.Tracef("drv: ch%d rx abort vci=%d bufs=%d", d.cfg.ChannelIndex, vci, len(d.partial))
+	if eng := d.host.Eng; eng.Recording() {
+		eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: d.trk, Cat: "drv", Name: "rx-abort", VCI: uint32(vci), Arg: int64(len(d.partial))})
 	}
 	for _, desc := range d.partial {
 		rb := d.byPA[desc.Addr]
@@ -581,8 +583,8 @@ func (d *Driver) abortPartial(vci atm.VCI) {
 // to the reserve pool when the handler finishes.
 func (d *Driver) deliverPDU(p *sim.Proc, descs []queue.Desc) {
 	d.stats.RxPDUs++
-	if d.host.Eng.Tracing() {
-		d.host.Eng.Tracef("pdu: ch%d deliver vci=%d bufs=%d", d.cfg.ChannelIndex, descs[len(descs)-1].VCI, len(descs))
+	if eng := d.host.Eng; eng.Recording() {
+		eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: d.trk, Cat: "pdu", Name: "deliver", VCI: uint32(descs[len(descs)-1].VCI), Arg: int64(len(descs))})
 	}
 	d.host.Compute(p, d.host.Prof.DriverRxPerPDU+time.Duration(len(descs)-1)*d.host.Prof.DriverPerBuffer)
 
@@ -666,8 +668,8 @@ func (d *Driver) RecoverData(p *sim.Proc, m *msg.Message) bool {
 		return false
 	}
 	d.stats.Recoveries++
-	if d.host.Eng.Tracing() {
-		d.host.Eng.Tracef("proto: ch%d lazy-invalidation recovery (%d bytes)", d.cfg.ChannelIndex, m.Len())
+	if eng := d.host.Eng; eng.Recording() {
+		eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: d.trk, Cat: "proto", Name: "lazy-recovery", Arg: int64(m.Len())})
 	}
 	d.host.InvalidateData(p, segs)
 	return true

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/atm"
@@ -29,6 +30,7 @@ type RDP struct {
 	host  *hostsim.Host
 	ip    *IP
 	stats RDPStats
+	trk   string // trace track ("<host>-rdp"), precomputed for Emit
 
 	// Telemetry: the registry and prefix RegisterMetrics got, kept to
 	// register the adaptive family when the first adaptive session
@@ -71,7 +73,9 @@ var ErrMaxRetries = errors.New("rdp: retransmission limit reached, peer unreacha
 const maxBackoffShift = 6
 
 // NewRDP returns an RDP instance over ip.
-func NewRDP(h *hostsim.Host, ip *IP) *RDP { return &RDP{host: h, ip: ip} }
+func NewRDP(h *hostsim.Host, ip *IP) *RDP {
+	return &RDP{host: h, ip: ip, trk: ip.drv.Board().Config().Name + "-rdp"}
+}
 
 // Name implements xkernel.Protocol.
 func (r *RDP) Name() string { return "rdp" }
@@ -228,7 +232,7 @@ func (r *RDP) Open(addr any) (xkernel.Session, error) {
 		s.est = newRTTEstimator(a.RetransmitTimeout, a.MinRTO, a.MaxRTO)
 		s.cwnd = uint32(a.InitialCwnd) * cwndUnit
 		s.ssthresh = uint32(a.Window) * cwndUnit
-		if r.mReg != nil && len(r.adaptive) == 0 {
+		if r.mReg != nil && r.mRTT == nil { // first adaptive session
 			r.registerAdaptiveMetrics()
 		}
 		r.adaptive = append(r.adaptive, s)
@@ -297,11 +301,14 @@ func seqGE(a, b uint32) bool { return a-b < 1<<31 }
 // SetHandler implements xkernel.Session.
 func (s *rdpSession) SetHandler(h xkernel.Handler) { s.upper = h }
 
-// Close implements xkernel.Session.
+// Close implements xkernel.Session. The session leaves the adaptive
+// gauges, and its retransmitter wakes to see the close and returns.
 func (s *rdpSession) Close() {
 	s.closed = true
+	s.r.dropAdaptive(s)
 	s.cancelTimer()
 	s.lower.Close()
+	s.retxWork.Broadcast()
 }
 
 // Push sends one message reliably: it blocks while the window is full,
@@ -500,14 +507,22 @@ func (s *rdpSession) fail(err error) {
 	s.err = err
 	s.closed = true
 	s.r.stats.Failed++
-	if s.r.host.Eng.Tracing() {
-		s.r.host.Eng.Tracef("proto: rdp vci=%d failed after %d retries: %v", s.addr.VCI, s.consecutive-1, err)
+	if eng := s.r.host.Eng; eng.Recording() {
+		// ErrMaxRetries is the only failure, so the record's name is it.
+		eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: s.r.trk, Cat: "proto", Name: "max-retries", VCI: uint32(s.addr.VCI), Arg: int64(s.consecutive - 1)})
 	}
+	s.r.dropAdaptive(s)
 	s.cancelTimer()
 	s.lower.Close()
 	s.notFull.Broadcast()
 	s.acked.Broadcast()
 	s.retxWork.Broadcast()
+}
+
+// dropAdaptive removes a closing session from the live adaptive set
+// (a no-op for legacy sessions and for one already removed).
+func (r *RDP) dropAdaptive(s *rdpSession) {
+	r.adaptive = slices.DeleteFunc(r.adaptive, func(as *rdpSession) bool { return as == s })
 }
 
 func (s *rdpSession) cancelTimer() {
@@ -543,7 +558,7 @@ func (s *rdpSession) retransmitter(p *sim.Proc) {
 			}
 			s.r.stats.Retransmits++
 			if eng := s.r.host.Eng; eng.Recording() {
-				eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: "rdp", Cat: "proto", Name: "retransmit", Arg: int64(seq)})
+				eng.Emit(sim.TraceEvent{At: eng.Now(), Ph: 'i', Comp: s.r.trk, Cat: "proto", Name: "retransmit", VCI: uint32(s.addr.VCI), Arg: int64(seq)})
 			}
 			if err := s.sendSegment(p, rdpData, seq, data); err != nil {
 				return

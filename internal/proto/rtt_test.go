@@ -3,9 +3,11 @@ package proto
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
@@ -169,6 +171,9 @@ func TestAdaptiveRDPMaxRetriesStillFails(t *testing.T) {
 	if st.Failed != 1 {
 		t.Errorf("Failed = %d, want 1", st.Failed)
 	}
+	if len(rA.adaptive) != 0 {
+		t.Errorf("failed session still counted among %d live adaptive sessions", len(rA.adaptive))
+	}
 	// No ack ever arrived, so Karn's rule must have kept the estimator
 	// sample-free: every in-flight segment was retransmitted.
 	if st.RTTSamples != 0 {
@@ -224,5 +229,42 @@ func TestAdaptiveRDPRecoversFromLossWithSamples(t *testing.T) {
 	}
 	if st.RTTSamples == 0 {
 		t.Error("no RTT samples accumulated by a live adaptive session")
+	}
+}
+
+// TestAdaptiveRDPCloseReleasesSession opens and closes adaptive
+// sessions on one RDP: each close must drop the session from the
+// cwnd/ssthresh gauges and return its retransmitter proc to the pool,
+// so neither the tracked set nor the goroutine count grows.
+func TestAdaptiveRDPCloseReleasesSession(t *testing.T) {
+	sp := newLossyStackPair(t, 0, 5)
+	defer sp.eng.Shutdown()
+	reg := metrics.New()
+	rA := NewRDP(sp.hA, sp.ipA)
+	rA.RegisterMetrics(reg, "A/rdp")
+	cycle := func() {
+		s, err := rA.Open(RDPOpen{Remote: 2, VCI: 10, Window: 4, Adaptive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.eng.Run() // the retransmitter starts and blocks
+		s.Close()
+		sp.eng.Run() // it sees the close and returns
+	}
+	cycle() // warm the proc pool
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		cycle()
+	}
+	if n := len(rA.adaptive); n != 0 {
+		t.Errorf("%d closed sessions still tracked as adaptive", n)
+	}
+	for _, name := range []string{"A/rdp/cwnd_segments", "A/rdp/ssthresh_segments"} {
+		if v, ok := reg.Get(name); !ok || v.Value != 0 {
+			t.Errorf("%s = %+v after every session closed, want 0", name, v)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base+2 {
+		t.Errorf("goroutines grew from %d to %d over 50 open/close cycles", base, n)
 	}
 }

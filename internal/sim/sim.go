@@ -118,7 +118,6 @@ type Engine struct {
 	fired    uint64
 	stopped  bool
 	limit    Time // horizon of the current Run; maxTime means none
-	tracer   func(t Time, format string, args ...any)
 	recorder func(TraceEvent)
 	running  bool
 	// panicVal holds a panic raised on a proc's coroutine (by a callback
@@ -182,30 +181,17 @@ func (e *Engine) NextXID() uint64 {
 	return e.nextXID
 }
 
-// SetTracer installs a trace callback invoked by Tracef. A nil tracer
-// disables tracing.
-func (e *Engine) SetTracer(fn func(t Time, format string, args ...any)) { e.tracer = fn }
-
-// Tracing reports whether a tracer is installed — hot paths use it to
-// skip argument construction entirely.
-func (e *Engine) Tracing() bool { return e.tracer != nil }
-
-// Tracef emits a trace record at the current virtual time if a tracer is
-// installed.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.tracer != nil {
-		e.tracer(e.now, format, args...)
-	}
-}
-
-// TraceEvent is one typed trace record, the structured sibling of the
-// printf-style Tracef stream. The Ph byte follows the Chrome
-// trace-event phase convention so records export losslessly to a
-// Perfetto-loadable timeline: 'i' instant, 'X' complete span (At is
-// the span start, Dur its length), 'C' counter sample (Arg is the
-// counter value). Comp names the emitting component and becomes a
-// timeline track; Name is the event (or counter) name; Cat is a
-// coarse category for filtering (cell/pdu/irq/drop/proto/drv/q).
+// TraceEvent is one typed trace record, the simulator's single trace
+// stream: the text (-tracecats) and Chrome/Perfetto renderers both
+// read it. The Ph byte follows the Chrome trace-event phase
+// convention so records export losslessly to a Perfetto-loadable
+// timeline: 'i' instant, 'X' complete span (At is the span start, Dur
+// its length), 'C' counter sample (Arg is the counter value). Comp
+// names the emitting component and becomes a timeline track (it
+// carries the host, e.g. "A-rx" or "B-ch0"); Name is the event (or
+// counter) name; Cat is a coarse category for filtering
+// (cell/pdu/irq/drop/proto/drv/q). VCI is the virtual circuit the
+// record concerns (0 when none) and Arg its one other value.
 //
 // The struct is plain data passed by value: emitting one performs no
 // allocation, and recording is entirely passive — no engine state is
@@ -215,6 +201,7 @@ type TraceEvent struct {
 	At   Time
 	Dur  Time
 	Ph   byte
+	VCI  uint32 // packs beside Ph: the record stays 80 bytes
 	Comp string
 	Cat  string
 	Name string

@@ -188,19 +188,6 @@ func TestDeterministicRand(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	e := NewEngine(1)
-	var got []string
-	e.SetTracer(func(_ Time, format string, _ ...any) { got = append(got, format) })
-	e.At(10, func() { e.Tracef("hello %d") })
-	e.Run()
-	if len(got) != 1 || got[0] != "hello %d" {
-		t.Errorf("tracer got %v", got)
-	}
-	e.SetTracer(nil)
-	e.Tracef("ignored") // must not panic
-}
-
 func TestNestedScheduling(t *testing.T) {
 	// An event that schedules more events at the same time: they run
 	// after previously scheduled same-time events.

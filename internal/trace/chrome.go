@@ -4,77 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"sort"
-
-	"repro/internal/sim"
 )
-
-// Timeline collects typed trace records (sim.TraceEvent) from one or
-// more engines and exports them as Chrome trace-event JSON, loadable
-// in Perfetto (ui.perfetto.dev) or chrome://tracing.
-//
-// Each attached engine gets its own lane (a Chrome "process"), and
-// each distinct component within a lane gets a named thread track.
-// In a sharded run every engine's goroutine appends only to its own
-// lane, and export happens after the run quiesces, so no locking is
-// needed; the export merge is canonical — ordered by (time, lane
-// attach order, emission index) — making the JSON byte-identical per
-// seed at any shard count for deterministic configs.
-type Timeline struct {
-	lanes []*lane
-}
-
-type lane struct {
-	label string
-	evs   []sim.TraceEvent
-}
-
-// NewTimeline returns an empty timeline.
-func NewTimeline() *Timeline { return &Timeline{} }
-
-// Attach installs the timeline as eng's typed-trace recorder, under
-// the given lane label (e.g. "shard0"). Call before the run starts.
-func (tl *Timeline) Attach(eng *sim.Engine, label string) {
-	ln := &lane{label: label}
-	tl.lanes = append(tl.lanes, ln)
-	eng.SetRecorder(func(ev sim.TraceEvent) { ln.evs = append(ln.evs, ev) })
-}
-
-// Len reports the total number of recorded events.
-func (tl *Timeline) Len() int {
-	n := 0
-	for _, ln := range tl.lanes {
-		n += len(ln.evs)
-	}
-	return n
-}
-
-// merged returns every event with its lane index, in canonical order.
-func (tl *Timeline) merged() []laneEvent {
-	out := make([]laneEvent, 0, tl.Len())
-	for li, ln := range tl.lanes {
-		for ei, ev := range ln.evs {
-			out = append(out, laneEvent{ev: ev, lane: li, idx: ei})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.ev.At != b.ev.At {
-			return a.ev.At < b.ev.At
-		}
-		if a.lane != b.lane {
-			return a.lane < b.lane
-		}
-		return a.idx < b.idx
-	})
-	return out
-}
-
-type laneEvent struct {
-	ev   sim.TraceEvent
-	lane int
-	idx  int
-}
 
 // chromeEvent is one record in the Chrome trace-event format. Ts/Dur
 // are microseconds of simulated time.
@@ -89,8 +19,9 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteChrome writes the timeline as Chrome trace-event JSON. The
-// output is deterministic: canonical event order, first-seen track
+// WriteChrome writes the timeline as Chrome trace-event JSON, loadable
+// in Perfetto (ui.perfetto.dev) or chrome://tracing. The output is
+// deterministic: canonical event order, first-seen track
 // numbering, and sorted JSON object keys (encoding/json sorts map
 // keys).
 func (tl *Timeline) WriteChrome(w io.Writer) error {
@@ -167,6 +98,12 @@ func (tl *Timeline) WriteChrome(w io.Writer) error {
 			if ev.Arg != 0 {
 				ce.Args = map[string]any{"value": ev.Arg}
 			}
+		}
+		if ev.VCI != 0 {
+			if ce.Args == nil {
+				ce.Args = map[string]any{}
+			}
+			ce.Args["vci"] = ev.VCI
 		}
 		if err := emit(ce); err != nil {
 			return err

@@ -17,7 +17,7 @@ func emitSample(tl *Timeline) *sim.Engine {
 		e.Emit(sim.TraceEvent{At: e.Now(), Ph: 'C', Comp: "port0", Cat: "q", Name: "depth", Arg: 3})
 	})
 	e.At(5000, func() {
-		e.Emit(sim.TraceEvent{At: 2000, Dur: 3000, Ph: 'X', Comp: "board", Cat: CatPDU, Name: "reasm", Arg: 9180})
+		e.Emit(sim.TraceEvent{At: 2000, Dur: 3000, Ph: 'X', Comp: "board", Cat: CatPDU, Name: "reasm", VCI: 9, Arg: 9180})
 	})
 	e.Run()
 	return e
@@ -55,11 +55,14 @@ func TestTimelineChromeExport(t *testing.T) {
 		switch ev.Ph {
 		case "X":
 			spans++
-			if ev.Name != "reasm" || ev.Ts != 2 || ev.Dur != 3 {
-				t.Errorf("span = %+v, want reasm ts=2µs dur=3µs", ev)
+			if ev.Name != "reasm" || ev.Ts != 2 || ev.Dur != 3 || ev.Args["vci"] != float64(9) {
+				t.Errorf("span = %+v, want reasm ts=2µs dur=3µs vci=9", ev)
 			}
 		case "i":
 			instants++
+			if ev.Args != nil { // no VCI and a zero argument
+				t.Errorf("instant args = %v, want none", ev.Args)
+			}
 		case "C":
 			counters++
 			if ev.Args["value"] != float64(3) {
@@ -92,23 +95,5 @@ func TestTimelineExportDeterministic(t *testing.T) {
 	}
 	if a, b := render(), render(); a != b {
 		t.Fatalf("chrome export not deterministic:\n%s\n---\n%s", a, b)
-	}
-}
-
-func TestRecorderUnaffectedByTypedEvents(t *testing.T) {
-	// Typed records and the printf tracer are independent planes on
-	// the same engine.
-	e := sim.NewEngine(1)
-	r := NewRecorder(16)
-	e.SetTracer(r.Hook())
-	tl := NewTimeline()
-	tl.Attach(e, "main")
-	e.At(10, func() {
-		e.Tracef("irq: rx")
-		e.Emit(sim.TraceEvent{At: e.Now(), Ph: 'i', Comp: "b", Cat: CatIRQ, Name: "rx-irq"})
-	})
-	e.Run()
-	if r.Len() != 1 || tl.Len() != 1 {
-		t.Fatalf("recorder/timeline = %d/%d events, want 1/1", r.Len(), tl.Len())
 	}
 }

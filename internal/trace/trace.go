@@ -1,17 +1,22 @@
-// Package trace records categorized simulation events for debugging and
-// for understanding where time goes — the software-visibility tool the
-// paper's authors effectively had by instrumenting the i960 firmware.
+// Package trace records the simulator's typed trace stream for
+// debugging and for understanding where time goes — the
+// software-visibility tool the paper's authors effectively had by
+// instrumenting the i960 firmware.
 //
-// Components emit through the engine's tracer hook (sim.Engine.Tracef)
-// with a "category:" prefix; a Recorder parses, filters, ring-buffers,
-// and renders them. With no tracer installed the emission sites are
-// no-ops.
+// Components emit sim.TraceEvent records through sim.Engine.Emit,
+// each site gated once by sim.Engine.Recording, so with no recorder
+// installed an emission site costs one branch. A Timeline collects the
+// records of one or more engines and renders them two ways from one
+// canonical merge: WriteText for the categorized text listing
+// (osiris-sim -tracecats) and WriteChrome for Perfetto.
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
-	"strings"
+	"slices"
+	"sort"
 
 	"repro/internal/sim"
 )
@@ -26,112 +31,100 @@ const (
 	CatDrv   = "drv"   // driver activity (stalls, reclaim)
 )
 
-// Event is one recorded trace record.
-type Event struct {
-	At  sim.Time
-	Cat string
-	Msg string
+// Timeline collects typed trace records (sim.TraceEvent) from one or
+// more engines.
+//
+// Each attached engine gets its own lane (a Chrome "process"), and
+// each distinct component within a lane gets a named thread track.
+// In a sharded run every engine's goroutine appends only to its own
+// lane, and rendering happens after the run quiesces, so no locking is
+// needed; the merge both renderers use is canonical — ordered by
+// (time, lane attach order, emission index) — making the output
+// byte-identical per seed at any shard count for deterministic configs.
+type Timeline struct {
+	lanes []*lane
 }
 
-func (e Event) String() string {
-	return fmt.Sprintf("%12.3fµs [%-5s] %s", e.At.Microseconds(), e.Cat, e.Msg)
+type lane struct {
+	label string
+	evs   []sim.TraceEvent
 }
 
-// Recorder collects events into a bounded ring buffer.
-type Recorder struct {
-	limit   int
-	events  []Event
-	start   int // ring start when full
-	full    bool
-	allow   map[string]bool // nil = everything
-	dropped int64
+// NewTimeline returns an empty timeline.
+func NewTimeline() *Timeline { return &Timeline{} }
+
+// Attach installs the timeline as eng's typed-trace recorder, under
+// the given lane label (e.g. "shard0"). Call before the run starts.
+func (tl *Timeline) Attach(eng *sim.Engine, label string) {
+	ln := &lane{label: label}
+	tl.lanes = append(tl.lanes, ln)
+	eng.SetRecorder(func(ev sim.TraceEvent) { ln.evs = append(ln.evs, ev) })
 }
 
-// NewRecorder returns a recorder keeping at most limit events (the
-// oldest are discarded first). limit 0 means 4096.
-func NewRecorder(limit int) *Recorder {
-	if limit <= 0 {
-		limit = 4096
+// Len reports the total number of recorded events.
+func (tl *Timeline) Len() int {
+	n := 0
+	for _, ln := range tl.lanes {
+		n += len(ln.evs)
 	}
-	return &Recorder{limit: limit}
+	return n
 }
 
-// Filter restricts recording to the given categories (empty = all).
-func (r *Recorder) Filter(cats ...string) {
-	if len(cats) == 0 {
-		r.allow = nil
-		return
-	}
-	r.allow = make(map[string]bool, len(cats))
-	for _, c := range cats {
-		r.allow[strings.TrimSpace(c)] = true
-	}
-}
-
-// Hook returns a function suitable for sim.Engine.SetTracer. Emission
-// sites format their message as "category: ..."; anything without a
-// recognizable prefix lands in category "misc".
-func (r *Recorder) Hook() func(t sim.Time, format string, args ...any) {
-	return func(t sim.Time, format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		cat := "misc"
-		if i := strings.IndexByte(msg, ':'); i > 0 && i <= 8 {
-			cat = msg[:i]
-			msg = strings.TrimSpace(msg[i+1:])
+// merged returns every event with its lane index, in canonical order.
+func (tl *Timeline) merged() []laneEvent {
+	out := make([]laneEvent, 0, tl.Len())
+	for li, ln := range tl.lanes {
+		for ei, ev := range ln.evs {
+			out = append(out, laneEvent{ev: ev, lane: li, idx: ei})
 		}
-		r.Record(Event{At: t, Cat: cat, Msg: msg})
 	}
-}
-
-// Record appends one event, applying the filter and ring bound.
-func (r *Recorder) Record(e Event) {
-	if r.allow != nil && !r.allow[e.Cat] {
-		r.dropped++
-		return
-	}
-	if len(r.events) < r.limit {
-		r.events = append(r.events, e)
-		return
-	}
-	r.full = true
-	r.events[r.start] = e
-	r.start = (r.start + 1) % r.limit
-}
-
-// Events returns the recorded events in time order.
-func (r *Recorder) Events() []Event {
-	if !r.full {
-		out := make([]Event, len(r.events))
-		copy(out, r.events)
-		return out
-	}
-	out := make([]Event, 0, r.limit)
-	out = append(out, r.events[r.start:]...)
-	out = append(out, r.events[:r.start]...)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		if a.ev.At != b.ev.At {
+			return a.ev.At < b.ev.At
+		}
+		if a.lane != b.lane {
+			return a.lane < b.lane
+		}
+		return a.idx < b.idx
+	})
 	return out
 }
 
-// Len reports the number of retained events.
-func (r *Recorder) Len() int { return len(r.events) }
-
-// Filtered reports how many events the filter rejected.
-func (r *Recorder) Filtered() int64 { return r.dropped }
-
-// Dump writes the retained events to w, one per line.
-func (r *Recorder) Dump(w io.Writer) error {
-	for _, e := range r.Events() {
-		if _, err := fmt.Fprintln(w, e.String()); err != nil {
-			return err
-		}
-	}
-	return nil
+type laneEvent struct {
+	ev   sim.TraceEvent
+	lane int
+	idx  int
 }
 
-// Counts returns the number of retained events per category.
-func (r *Recorder) Counts() map[string]int {
-	out := make(map[string]int)
-	for _, e := range r.Events() {
-		out[e.Cat]++
+// WriteText writes the last records of the given categories (nil or
+// empty: every category) to w, one line each, in the canonical merge
+// order. last ≤ 0 writes them all. A line reads
+//
+//	<time>µs [<cat>] <track> <name> [dur=<span>µs] [vci=<vci>] arg=<arg>
+//
+// where dur appears on spans and vci when nonzero; arg is always
+// printed, since zero (channel 0, say) is a value.
+func (tl *Timeline) WriteText(w io.Writer, cats []string, last int) error {
+	var sel []sim.TraceEvent
+	for _, le := range tl.merged() {
+		if len(cats) == 0 || slices.Contains(cats, le.ev.Cat) {
+			sel = append(sel, le.ev)
+		}
 	}
-	return out
+	if last > 0 && len(sel) > last {
+		sel = sel[len(sel)-last:]
+	}
+	bw := bufio.NewWriter(w)
+	for _, ev := range sel {
+		fmt.Fprintf(bw, "%12.3fµs [%-5s] %s %s", ev.At.Microseconds(), ev.Cat, ev.Comp, ev.Name)
+		if ev.Ph == 'X' {
+			fmt.Fprintf(bw, " dur=%.3fµs", ev.Dur.Microseconds())
+		}
+		if ev.VCI != 0 {
+			fmt.Fprintf(bw, " vci=%d", ev.VCI)
+		}
+		fmt.Fprintf(bw, " arg=%d\n", ev.Arg)
+	}
+	return bw.Flush() // a failed write sticks and surfaces here
 }

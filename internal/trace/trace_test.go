@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/atm"
-	"repro/internal/board"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/hostsim"
@@ -16,89 +15,81 @@ import (
 	"repro/internal/sim"
 )
 
-func TestRecorderParsesCategories(t *testing.T) {
-	r := NewRecorder(16)
-	hook := r.Hook()
-	hook(100, "cell: tx vci=%d", 5)
-	hook(200, "no category here")
-	evs := r.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d", len(evs))
-	}
-	if evs[0].Cat != "cell" || evs[0].Msg != "tx vci=5" || evs[0].At != 100 {
-		t.Errorf("event 0 = %+v", evs[0])
-	}
-	if evs[1].Cat != "misc" {
-		t.Errorf("event 1 cat = %q", evs[1].Cat)
-	}
+// twoLanes records a fixed stream on two engines: lane "a" emits at 10,
+// 30 and 30; lane "b" at 20 and 30.
+func twoLanes() *Timeline {
+	tl := NewTimeline()
+	ea, eb := sim.NewEngine(1), sim.NewEngine(1)
+	tl.Attach(ea, "a")
+	tl.Attach(eb, "b")
+	ea.Emit(sim.TraceEvent{At: 10_000, Ph: 'i', Comp: "A-rx", Cat: CatIRQ, Name: "rx-irq"})
+	ea.Emit(sim.TraceEvent{At: 30_000, Ph: 'i', Comp: "A-tx", Cat: CatPDU, Name: "tx-start", VCI: 7, Arg: 2})
+	ea.Emit(sim.TraceEvent{At: 30_000, Ph: 'i', Comp: "A-ch0", Cat: CatDrv, Name: "tx-ring-full"})
+	eb.Emit(sim.TraceEvent{At: 20_000, Ph: 'i', Comp: "B-tx1", Cat: CatCell, Name: "tx", VCI: 7, Arg: 44})
+	eb.Emit(sim.TraceEvent{At: 30_000, Dur: 1500, Ph: 'X', Comp: "B-rx", Cat: CatPDU, Name: "reasm", VCI: 7, Arg: 88})
+	return tl
 }
 
-func TestRecorderFilter(t *testing.T) {
-	r := NewRecorder(16)
-	r.Filter("irq", "drop")
-	hook := r.Hook()
-	hook(1, "cell: noisy")
-	hook(2, "irq: important")
-	hook(3, "drop: also important")
-	if r.Len() != 2 {
-		t.Fatalf("len = %d", r.Len())
-	}
-	if r.Filtered() != 1 {
-		t.Errorf("Filtered = %d", r.Filtered())
-	}
-	r.Filter() // reset to everything
-	hook(4, "cell: now kept")
-	if r.Len() != 3 {
-		t.Errorf("len after reset = %d", r.Len())
-	}
-}
-
-func TestRecorderRingBuffer(t *testing.T) {
-	r := NewRecorder(4)
-	hook := r.Hook()
-	for i := 0; i < 10; i++ {
-		hook(sim.Time(i), "pdu: n=%d", i)
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d", len(evs))
-	}
-	// Oldest retained is event 6.
-	if evs[0].At != 6 || evs[3].At != 9 {
-		t.Errorf("ring window wrong: %v..%v", evs[0].At, evs[3].At)
-	}
-}
-
-func TestRecorderDumpAndCounts(t *testing.T) {
-	r := NewRecorder(8)
-	hook := r.Hook()
-	hook(1500, "irq: rx ch0")
-	hook(2500, "irq: rx ch1")
-	hook(3500, "drop: lost")
+func text(t *testing.T, tl *Timeline, cats []string, last int) []string {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := r.Dump(&buf); err != nil {
+	if err := tl.WriteText(&buf, cats, last); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "[irq") || !strings.Contains(out, "rx ch0") {
-		t.Errorf("dump:\n%s", out)
+	return strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+}
+
+func TestWriteTextMergesLanesInCanonicalOrder(t *testing.T) {
+	// Time first, then lane attach order, then emission order.
+	want := []string{
+		"      10.000µs [irq  ] A-rx rx-irq arg=0",
+		"      20.000µs [cell ] B-tx1 tx vci=7 arg=44",
+		"      30.000µs [pdu  ] A-tx tx-start vci=7 arg=2",
+		"      30.000µs [drv  ] A-ch0 tx-ring-full arg=0",
+		"      30.000µs [pdu  ] B-rx reasm dur=1.500µs vci=7 arg=88",
 	}
-	counts := r.Counts()
-	if counts["irq"] != 2 || counts["drop"] != 1 {
-		t.Errorf("counts = %v", counts)
+	got := text(t, twoLanes(), nil, 0)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("WriteText:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+func TestWriteTextFiltersCategories(t *testing.T) {
+	got := text(t, twoLanes(), []string{CatPDU, CatIRQ}, 0)
+	if len(got) != 3 {
+		t.Fatalf("pdu+irq lines = %d, want 3:\n%s", len(got), strings.Join(got, "\n"))
+	}
+	for _, l := range got {
+		if !strings.Contains(l, "[pdu  ]") && !strings.Contains(l, "[irq  ]") {
+			t.Errorf("filtered listing kept %q", l)
+		}
+	}
+	if got := text(t, twoLanes(), []string{"nope"}, 0); len(got) != 1 || got[0] != "" {
+		t.Errorf("unknown category printed %q", got)
+	}
+}
+
+func TestWriteTextKeepsLastN(t *testing.T) {
+	// The window applies after the filter, and keeps the newest records.
+	got := text(t, twoLanes(), []string{CatPDU, CatCell}, 2)
+	if len(got) != 2 || !strings.Contains(got[0], "tx-start") || !strings.Contains(got[1], "reasm") {
+		t.Errorf("last 2 pdu+cell records:\n%s", strings.Join(got, "\n"))
+	}
+	if got := text(t, twoLanes(), nil, 100); len(got) != 5 {
+		t.Errorf("a window wider than the stream printed %d of 5", len(got))
 	}
 }
 
 func TestEndToEndTraceCapture(t *testing.T) {
-	// Attach a recorder to a real transfer and verify the instrumented
+	// Attach a timeline to a real transfer and verify the instrumented
 	// components produced the expected categories.
 	tb := core.NewTestbed(core.Options{
 		Profile: hostsim.DEC3000_600(),
 		Driver:  driver.Config{Cache: driver.CacheNone},
 	})
 	defer tb.Shutdown()
-	rec := NewRecorder(100_000)
-	tb.Eng.SetTracer(rec.Hook())
+	tl := NewTimeline()
+	tl.Attach(tb.Eng, "testbed")
 
 	tx, err := tb.A.Raw.Open(proto.RawOpen{VCI: 44})
 	if err != nil {
@@ -119,31 +110,17 @@ func TestEndToEndTraceCapture(t *testing.T) {
 	if !got {
 		t.Fatal("message lost")
 	}
-	counts := rec.Counts()
-	if counts["cell"] != int(atm.CellsFor(3000)) {
-		t.Errorf("cell events = %d, want %d", counts["cell"], atm.CellsFor(3000))
+	counts := map[string]int{}
+	for _, le := range tl.merged() {
+		counts[le.ev.Cat]++
 	}
-	if counts["pdu"] < 3 { // tx start + rx complete + driver deliver
-		t.Errorf("pdu events = %d", counts["pdu"])
+	if counts[CatCell] != atm.CellsFor(3000) {
+		t.Errorf("cell records = %d, want %d", counts[CatCell], atm.CellsFor(3000))
 	}
-	if counts["irq"] != 1 {
-		t.Errorf("irq events = %d, want 1", counts["irq"])
+	if counts[CatPDU] < 3 { // tx start + rx complete + driver deliver
+		t.Errorf("pdu records = %d", counts[CatPDU])
 	}
-	_ = board.RxIRQBase
-}
-
-func TestTracingDisabledIsFree(t *testing.T) {
-	// Without a tracer, Tracing() gates every instrumented site.
-	e := sim.NewEngine(1)
-	if e.Tracing() {
-		t.Error("fresh engine claims tracing")
-	}
-	e.SetTracer(func(sim.Time, string, ...any) {})
-	if !e.Tracing() {
-		t.Error("tracer installed but Tracing() false")
-	}
-	e.SetTracer(nil)
-	if e.Tracing() {
-		t.Error("tracer cleared but Tracing() true")
+	if counts[CatIRQ] != 1 {
+		t.Errorf("irq records = %d, want 1", counts[CatIRQ])
 	}
 }
